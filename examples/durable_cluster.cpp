@@ -46,22 +46,22 @@ int main() {
         ProcessId::server(i), cfg, &sim, Bytes{}, wal_path(i)));
     sim.add_process(ProcessId::server(i), servers.back().get());
   }
-  registers::BsrWriter writer(ProcessId::writer(0), cfg, &sim);
-  registers::BsrReader reader(ProcessId::reader(0), cfg, &sim);
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &sim);
+  registers::RegisterClient reader(ProcessId::reader(0), cfg, &sim);
   sim.add_process(ProcessId::writer(0), &writer);
   sim.add_process(ProcessId::reader(0), &reader);
 
   auto write = [&](const std::string& v) {
     bool done = false;
-    writer.start_write(Bytes(v.begin(), v.end()),
-                       [&](const registers::WriteResult&) { done = true; });
+    writer.write(0, Bytes(v.begin(), v.end()),
+                 [&](const registers::WriteResult&) { done = true; });
     sim.run_until([&] { return done; });
     sim.run_until_idle();
   };
   auto read = [&] {
     bool done = false;
     std::string out;
-    reader.start_read([&](const registers::ReadResult& r) {
+    reader.read(0, [&](const registers::ReadResult& r) {
       out.assign(r.value.begin(), r.value.end());
       done = true;
     });

@@ -32,15 +32,17 @@ size_t min_servers(Protocol p, size_t f) {
   }
 }
 
-struct SimCluster::WriterSlot {
-  std::unique_ptr<net::IProcess> proc;
-  std::function<void(Bytes, registers::BsrWriter::Callback)> start;
-};
-
-struct SimCluster::ReaderSlot {
-  std::unique_ptr<net::IProcess> proc;
-  std::function<void(registers::BsrReader::Callback)> start;
-};
+registers::ProtocolVariant to_variant(Protocol p) {
+  switch (p) {
+    case Protocol::kBsr: return registers::ProtocolVariant::kBsr;
+    case Protocol::kBsrHistory: return registers::ProtocolVariant::kBsrHistory;
+    case Protocol::kBsr2R: return registers::ProtocolVariant::kBsrTwoRound;
+    case Protocol::kBcsr: return registers::ProtocolVariant::kBcsr;
+    case Protocol::kRb: return registers::ProtocolVariant::kRb;
+    case Protocol::kBsrWb: return registers::ProtocolVariant::kBsrWriteBack;
+  }
+  return registers::ProtocolVariant::kBsr;
+}
 
 SimCluster::SimCluster(ClusterOptions options) : options_(std::move(options)) {
   assert(options_.config.n >= 1 && options_.config.n >= options_.config.f);
@@ -88,87 +90,14 @@ void SimCluster::build() {
     }
   }
 
+  const registers::ClientOptions client_options{to_variant(options_.protocol)};
   for (size_t i = 0; i < options_.num_writers; ++i) {
-    const ProcessId pid = writer_id(i);
-    auto slot = std::make_unique<WriterSlot>();
-    if (options_.protocol == Protocol::kBcsr) {
-      auto w = std::make_unique<registers::BcsrWriter>(pid, cfg, sim_.get());
-      auto* raw = w.get();
-      slot->start = [raw](Bytes v, registers::BsrWriter::Callback cb) {
-        raw->start_write(std::move(v), std::move(cb));
-      };
-      slot->proc = std::move(w);
-    } else {
-      auto w = std::make_unique<registers::BsrWriter>(pid, cfg, sim_.get());
-      auto* raw = w.get();
-      slot->start = [raw](Bytes v, registers::BsrWriter::Callback cb) {
-        raw->start_write(std::move(v), std::move(cb));
-      };
-      slot->proc = std::move(w);
-    }
-    writers_.push_back(std::move(slot));
+    writers_.push_back(std::make_unique<registers::RegisterClient>(
+        writer_id(i), cfg, sim_.get(), client_options));
   }
-
   for (size_t i = 0; i < options_.num_readers; ++i) {
-    const ProcessId pid = reader_id(i);
-    auto slot = std::make_unique<ReaderSlot>();
-    switch (options_.protocol) {
-      case Protocol::kBsr: {
-        auto r = std::make_unique<registers::BsrReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-      case Protocol::kBsrHistory: {
-        auto r = std::make_unique<registers::HistoryReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-      case Protocol::kBsr2R: {
-        auto r = std::make_unique<registers::TwoRoundReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-      case Protocol::kBcsr: {
-        auto r = std::make_unique<registers::BcsrReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-      case Protocol::kRb: {
-        auto r = std::make_unique<registers::RbReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-      case Protocol::kBsrWb: {
-        auto r = std::make_unique<registers::WriteBackReader>(pid, cfg, sim_.get());
-        auto* raw = r.get();
-        slot->start = [raw](registers::BsrReader::Callback cb) {
-          raw->start_read(std::move(cb));
-        };
-        slot->proc = std::move(r);
-        break;
-      }
-    }
-    readers_.push_back(std::move(slot));
+    readers_.push_back(std::make_unique<registers::RegisterClient>(
+        reader_id(i), cfg, sim_.get(), client_options));
   }
 }
 
@@ -199,10 +128,10 @@ void SimCluster::start() {
     sim_->add_process(ProcessId::server(static_cast<uint32_t>(i)), servers_[i].get());
   }
   for (size_t i = 0; i < writers_.size(); ++i) {
-    sim_->add_process(writer_id(i), writers_[i]->proc.get());
+    sim_->add_process(writer_id(i), writers_[i].get());
   }
   for (size_t i = 0; i < readers_.size(); ++i) {
-    sim_->add_process(reader_id(i), readers_[i]->proc.get());
+    sim_->add_process(reader_id(i), readers_[i].get());
   }
 }
 
@@ -212,9 +141,10 @@ uint64_t SimCluster::start_write(size_t writer, Bytes value) {
   const ProcessId pid = writer_id(writer);
   const uint64_t rec = recorder_.begin_write(pid, sim_->now(), value);
   pending_writes_[rec];  // default-construct the pending entry
-  WriterSlot* slot = writers_[writer].get();
-  sim_->post(pid, [this, slot, rec, v = std::move(value)]() mutable {
-    slot->start(std::move(v), [this, rec](const WriteResult& r) {
+  registers::RegisterClient* client = writers_[writer].get();
+  sim_->post(pid, [this, client, rec, v = std::move(value)]() mutable {
+    assert(client->idle() && "at most one operation per client");
+    client->write(/*object=*/0, std::move(v), [this, rec](const WriteResult& r) {
       recorder_.complete_write(rec, sim_->now(), r.tag);
       auto& p = pending_writes_[rec];
       p.done = true;
@@ -230,9 +160,10 @@ uint64_t SimCluster::start_read(size_t reader) {
   const ProcessId pid = reader_id(reader);
   const uint64_t rec = recorder_.begin_read(pid, sim_->now());
   pending_reads_[rec];
-  ReaderSlot* slot = readers_[reader].get();
-  sim_->post(pid, [this, slot, rec] {
-    slot->start([this, rec](const ReadResult& r) {
+  registers::RegisterClient* client = readers_[reader].get();
+  sim_->post(pid, [this, client, rec] {
+    assert(client->idle() && "at most one operation per client");
+    client->read(/*object=*/0, [this, rec](const ReadResult& r) {
       recorder_.complete_read(rec, sim_->now(), r.value, r.tag);
       auto& p = pending_reads_[rec];
       p.done = true;

@@ -1,9 +1,10 @@
 // Experiment harness: assemble a full register emulation in the simulator.
 //
 // A SimCluster instantiates n servers (honest RegisterServer / RbServer, or
-// Byzantine ByzantineServer at chosen positions), plus writer and reader
-// clients for the selected protocol, wires everything to a seeded
-// deterministic Simulator, and records every operation into an
+// Byzantine ByzantineServer at chosen positions), plus one RegisterClient
+// per writer and reader slot speaking the selected protocol (each slot
+// keeps the paper's one-operation-per-client rule), wires everything to a
+// seeded deterministic Simulator, and records every operation into an
 // ExecutionRecorder so the checkers can pass judgment afterwards. It is
 // used by the integration tests, the property tests, every bench binary,
 // and the examples.
@@ -40,6 +41,9 @@ const char* to_string(Protocol p);
 
 /// Minimum servers the protocol needs for f Byzantine faults.
 size_t min_servers(Protocol p, size_t f);
+
+/// The RegisterClient variant that speaks `p`.
+registers::ProtocolVariant to_variant(Protocol p);
 
 struct ClusterOptions {
   Protocol protocol{Protocol::kBsr};
@@ -132,9 +136,6 @@ class SimCluster {
   ProcessId reader_id(size_t index) const { return ProcessId::reader(static_cast<uint32_t>(index)); }
 
  private:
-  struct WriterSlot;
-  struct ReaderSlot;
-
   Bytes initial_for_server(size_t index) const;
   std::string wal_path(size_t index) const;
   void build();
@@ -150,8 +151,8 @@ class SimCluster {
   /// Replaced server objects, kept alive until teardown: simulator events
   /// queued before a restart may still reference them.
   std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<WriterSlot>> writers_;
-  std::vector<std::unique_ptr<ReaderSlot>> readers_;
+  std::vector<std::unique_ptr<registers::RegisterClient>> writers_;
+  std::vector<std::unique_ptr<registers::RegisterClient>> readers_;
 
   std::vector<Bytes> initial_elements_;  // BCSR: Phi_i(v0)
 

@@ -13,16 +13,6 @@ namespace bftreg::harness {
 using registers::ReadResult;
 using registers::WriteResult;
 
-struct ThreadCluster::WriterSlot {
-  std::unique_ptr<net::IProcess> proc;
-  std::function<void(Bytes, registers::BsrWriter::Callback)> start;
-};
-
-struct ThreadCluster::ReaderSlot {
-  std::unique_ptr<net::IProcess> proc;
-  std::function<void(registers::BsrReader::Callback)> start;
-};
-
 ThreadCluster::ThreadCluster(ThreadClusterOptions options)
     : options_(std::move(options)) {
   runtime::RuntimeConfig rc;
@@ -70,69 +60,16 @@ void ThreadCluster::build() {
     }
   }
 
+  const registers::ClientOptions client_options{to_variant(options_.protocol)};
   for (size_t i = 0; i < options_.num_writers; ++i) {
-    const ProcessId pid = ProcessId::writer(static_cast<uint32_t>(i));
-    auto slot = std::make_unique<WriterSlot>();
-    if (options_.protocol == Protocol::kBcsr) {
-      auto w = std::make_unique<registers::BcsrWriter>(pid, cfg, net_.get());
-      auto* raw = w.get();
-      slot->start = [raw](Bytes v, registers::BsrWriter::Callback cb) {
-        raw->start_write(std::move(v), std::move(cb));
-      };
-      slot->proc = std::move(w);
-    } else {
-      auto w = std::make_unique<registers::BsrWriter>(pid, cfg, net_.get());
-      auto* raw = w.get();
-      slot->start = [raw](Bytes v, registers::BsrWriter::Callback cb) {
-        raw->start_write(std::move(v), std::move(cb));
-      };
-      slot->proc = std::move(w);
-    }
-    writers_.push_back(std::move(slot));
+    writers_.push_back(std::make_unique<registers::RegisterClient>(
+        ProcessId::writer(static_cast<uint32_t>(i)), cfg, net_.get(),
+        client_options));
   }
-
-  auto make_reader = [&](const ProcessId& pid,
-                         auto reader_ptr) -> std::unique_ptr<ReaderSlot> {
-    auto slot = std::make_unique<ReaderSlot>();
-    auto* raw = reader_ptr.get();
-    slot->start = [raw](registers::BsrReader::Callback cb) {
-      raw->start_read(std::move(cb));
-    };
-    slot->proc = std::move(reader_ptr);
-    (void)pid;
-    return slot;
-  };
-
   for (size_t i = 0; i < options_.num_readers; ++i) {
-    const ProcessId pid = ProcessId::reader(static_cast<uint32_t>(i));
-    switch (options_.protocol) {
-      case Protocol::kBsr:
-        readers_.push_back(make_reader(
-            pid, std::make_unique<registers::BsrReader>(pid, cfg, net_.get())));
-        break;
-      case Protocol::kBsrHistory:
-        readers_.push_back(make_reader(
-            pid, std::make_unique<registers::HistoryReader>(pid, cfg, net_.get())));
-        break;
-      case Protocol::kBsr2R:
-        readers_.push_back(make_reader(
-            pid,
-            std::make_unique<registers::TwoRoundReader>(pid, cfg, net_.get())));
-        break;
-      case Protocol::kBcsr:
-        readers_.push_back(make_reader(
-            pid, std::make_unique<registers::BcsrReader>(pid, cfg, net_.get())));
-        break;
-      case Protocol::kRb:
-        readers_.push_back(make_reader(
-            pid, std::make_unique<registers::RbReader>(pid, cfg, net_.get())));
-        break;
-      case Protocol::kBsrWb:
-        readers_.push_back(make_reader(
-            pid,
-            std::make_unique<registers::WriteBackReader>(pid, cfg, net_.get())));
-        break;
-    }
+    readers_.push_back(std::make_unique<registers::RegisterClient>(
+        ProcessId::reader(static_cast<uint32_t>(i)), cfg, net_.get(),
+        client_options));
   }
 }
 
@@ -207,11 +144,11 @@ void ThreadCluster::start_impl() {
   }
   for (size_t i = 0; i < writers_.size(); ++i) {
     net_->add_process(ProcessId::writer(static_cast<uint32_t>(i)),
-                      writers_[i]->proc.get());
+                      writers_[i].get());
   }
   for (size_t i = 0; i < readers_.size(); ++i) {
     net_->add_process(ProcessId::reader(static_cast<uint32_t>(i)),
-                      readers_[i]->proc.get());
+                      readers_[i].get());
   }
   net_->start();
 }
@@ -226,11 +163,13 @@ WriteResult ThreadCluster::write(size_t writer, Bytes value) {
   runtime::BlockingInvoker invoker(*net_);
   invoker.run(ProcessId::writer(static_cast<uint32_t>(writer)),
               [&](std::function<void()> done) {
-                writers_[writer]->start(std::move(value),
-                                        [&out, done](const WriteResult& r) {
-                                          out = r;
-                                          done();
-                                        });
+                registers::RegisterClient& client = *writers_[writer];
+                assert(client.idle() && "at most one operation per client");
+                client.write(/*object=*/0, std::move(value),
+                             [&out, done](const WriteResult& r) {
+                               out = r;
+                               done();
+                             });
               });
   return out;
 }
@@ -241,7 +180,9 @@ ReadResult ThreadCluster::read(size_t reader) {
   runtime::BlockingInvoker invoker(*net_);
   invoker.run(ProcessId::reader(static_cast<uint32_t>(reader)),
               [&](std::function<void()> done) {
-                readers_[reader]->start([&out, done](const ReadResult& r) {
+                registers::RegisterClient& client = *readers_[reader];
+                assert(client.idle() && "at most one operation per client");
+                client.read(/*object=*/0, [&out, done](const ReadResult& r) {
                   out = r;
                   done();
                 });

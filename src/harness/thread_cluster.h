@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "adversary/byzantine_server.h"
-#include "harness/sim_cluster.h"  // Protocol enum, min_servers
+#include "harness/sim_cluster.h"  // Protocol, min_servers, to_variant
 #include "registers/registers.h"
 #include "runtime/thread_network.h"
 
@@ -83,9 +83,6 @@ class ThreadCluster {
   const ThreadClusterOptions& options() const { return options_; }
 
  private:
-  struct WriterSlot;
-  struct ReaderSlot;
-
   Bytes initial_for_server(size_t index) const;
   std::string wal_path(size_t index) const;
   void build();
@@ -99,8 +96,8 @@ class ThreadCluster {
   /// Replaced server objects, kept alive until teardown: in-flight
   /// MailItems may still carry their (never re-dereferenced) pointers.
   std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<WriterSlot>> writers_;
-  std::vector<std::unique_ptr<ReaderSlot>> readers_;
+  std::vector<std::unique_ptr<registers::RegisterClient>> writers_;
+  std::vector<std::unique_ptr<registers::RegisterClient>> readers_;
   std::vector<Bytes> initial_elements_;
   std::once_flag start_once_;
   // Published by the call_once winner; read by set_byzantine's precondition

@@ -1,33 +1,11 @@
 #include "registers/bcsr.h"
 
-#include <cassert>
-#include <memory>
+#include "codec/mds_code.h"
 
 namespace bftreg::registers {
 
 std::vector<Bytes> bcsr_initial_elements(const SystemConfig& config) {
   return codec::MdsCode::for_bcsr(config.n, config.f).encode(config.initial_value);
-}
-
-BcsrWriter::BcsrWriter(ProcessId self, SystemConfig config,
-                       net::Transport* transport, uint32_t object)
-    : BsrWriter(self, config, transport, object,
-                codec::MdsCode::for_bcsr(config.n, config.f)) {
-  assert(config.valid_for_bcsr());
-}
-
-BcsrReader::BcsrReader(ProcessId self, SystemConfig config,
-                       net::Transport* transport, uint32_t object)
-    : mux_(self, std::move(config), transport),
-      object_(object),
-      code_(codec::MdsCode::for_bcsr(mux_.config().n, mux_.config().f)),
-      state_(LocalState::initial(mux_.config())) {}
-
-void BcsrReader::start_read(Callback callback) {
-  assert(!busy() && "at most one operation per client");
-  mux_.start(std::make_unique<BcsrReadOp>(mux_.config(), &code_, &state_,
-                                          std::move(callback)),
-             OpKind::kBcsrRead, object_);
 }
 
 }  // namespace bftreg::registers

@@ -1,64 +1,22 @@
 // BCSR: Byzantine Coded Safe Register (Section IV, Figs. 4-6).
 //
 // Single-writer multi-reader safe register storing [n, k] MDS coded
-// elements, k = n - 5f. The write is Fig. 1's two phases except PUT-DATA
-// carries the per-server coded element Phi_i(v) (Fig. 4 line 7). The read
-// (Fig. 5) is one-shot: collect n-f coded elements and run the
-// error-correcting decoder Phi^{-1}; among the received elements at most
-// (n-f) - (n-3f) = 2f are erroneous (Byzantine-corrupted or stale), which
-// is exactly the decoder's budget (Lemma 4).
-//
-// The emulation tolerates multiple writers as long as their writes are
-// never concurrent (paper, footnote 2); concurrent writes may cause a
-// decode failure, in which case the read falls back to the reader's last
-// decoded value (initially v0) -- consistent with Definition 1(ii).
-//
-// These are the low-level, single-operation clients; the protocol logic
-// lives in WriteOp/BcsrReadOp (protocol_ops.h) and RegisterClient
-// (client.h) runs the same ops with multiplexing.
+// elements, k = n - 5f. The client side is two PendingOps run by
+// RegisterClient with ProtocolVariant::kBcsr: WriteOp ships each server
+// its coded element (Fig. 4) and BcsrReadOp decodes n-f of them in one
+// round (Fig. 5); protocol_ops.h has the paper mapping. The server side is
+// RegisterServer seeded with the elements below (Fig. 6).
 #pragma once
 
-#include <functional>
+#include <vector>
 
-#include "codec/mds_code.h"
-#include "net/transport.h"
-#include "registers/bsr_reader.h"
-#include "registers/bsr_writer.h"
+#include "common/types.h"
 #include "registers/config.h"
-#include "registers/op_mux.h"
-#include "registers/protocol_ops.h"
 
 namespace bftreg::registers {
 
 /// Builds the per-server initial elements Phi_i(v0) that BCSR servers are
 /// seeded with (Fig. 6: L initially {(t0, c0^s)}).
 std::vector<Bytes> bcsr_initial_elements(const SystemConfig& config);
-
-class BcsrWriter final : public BsrWriter {
- public:
-  BcsrWriter(ProcessId self, SystemConfig config, net::Transport* transport,
-             uint32_t object = 0);
-};
-
-class BcsrReader final : public net::IProcess {
- public:
-  using Callback = std::function<void(const ReadResult&)>;
-
-  BcsrReader(ProcessId self, SystemConfig config, net::Transport* transport,
-             uint32_t object = 0);
-
-  void start_read(Callback callback);
-  void on_message(const net::Envelope& env) override { mux_.on_message(env); }
-
-  bool busy() const { return !mux_.idle(); }
-  const ProcessId& id() const { return mux_.id(); }
-  uint64_t decode_failures() const { return state_.decode_failures; }
-
- private:
-  OpMux mux_;
-  const uint32_t object_;
-  codec::MdsCode code_;
-  LocalState state_;
-};
 
 }  // namespace bftreg::registers

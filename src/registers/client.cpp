@@ -18,6 +18,8 @@ const char* to_string(ProtocolVariant v) {
       return "bsr-wb";
     case ProtocolVariant::kBcsr:
       return "bcsr";
+    case ProtocolVariant::kRb:
+      return "rb";
   }
   return "?";
 }
@@ -25,11 +27,13 @@ const char* to_string(ProtocolVariant v) {
 RegisterClient::RegisterClient(ProcessId self, SystemConfig config,
                                net::Transport* transport, ClientOptions options)
     : mux_(self, std::move(config), transport), options_(options) {
+  // Only BCSR needs its bound to construct at all (k = n - 5f). The other
+  // variants run below their bounds on purpose in the lower-bound
+  // experiments (Theorem 5 drives BSR at n = 4f); applications get
+  // validated configs from SystemConfig::Builder.
   if (options_.variant == ProtocolVariant::kBcsr) {
     assert(mux_.config().valid_for_bcsr());
     code_ = codec::MdsCode::for_bcsr(mux_.config().n, mux_.config().f);
-  } else {
-    assert(mux_.config().valid_for_bsr());
   }
 }
 
@@ -82,6 +86,10 @@ void RegisterClient::read(uint32_t object, const OpOptions& opts,
       op = std::make_unique<BcsrReadOp>(cfg, &*code_, state, std::move(cb));
       kind = OpKind::kBcsrRead;
       break;
+    case ProtocolVariant::kRb:
+      op = std::make_unique<RbReadOp>(cfg, state, std::move(cb));
+      kind = OpKind::kRbRead;
+      break;
   }
   mux_.start(std::move(op), kind, object, effective_policy(opts));
 }
@@ -102,7 +110,8 @@ void RegisterClient::write(uint32_t object, Bytes value, const OpOptions& opts,
 void RegisterClient::read_batch(std::span<const uint32_t> objects,
                                 BatchReadCallback cb) {
   assert(options_.variant != ProtocolVariant::kBcsr &&
-         "batched reads need replicated storage");
+         options_.variant != ProtocolVariant::kRb &&
+         "batched reads need replicated RegisterServer storage");
   assert(!objects.empty());
   assert(objects.size() <= 4096 && "batch exceeds the server-side cap");
   // The op owns its id list; the caller's span may die with the call.

@@ -1,14 +1,15 @@
-// RegisterClient: the high-level client API of the register library.
+// RegisterClient: the client API of the register library, and the only
+// protocol client in it.
 //
 // One object of this class is a full protocol client: pick a protocol
 // variant, point it at the server set, and issue reads/writes against any
-// number of shared variables -- concurrently. Where the low-level classes
-// (BsrReader, BsrWriter, ...) enforce the paper's one-operation-per-client
-// well-formedness, RegisterClient runs every operation through an
-// operation multiplexer (op_mux.h), so a single client sustains
+// number of shared variables -- concurrently. Every operation runs through
+// an operation multiplexer (op_mux.h), so a single client sustains
 // dozens-to-hundreds of in-flight operations across many objects; each
 // operation keeps its own quorum/witness tallies, so the paper's
-// per-operation guarantees are untouched (see protocol_ops.h).
+// per-operation guarantees are untouched (see protocol_ops.h). A caller
+// that wants the paper's one-operation-per-client well-formedness (the
+// experiment harnesses do) checks idle() before starting an operation.
 //
 // Deadlines: construct with a RetryPolicy to bound every operation --
 // missed deadlines retransmit under the same op id (stragglers still
@@ -54,6 +55,7 @@ enum class ProtocolVariant : uint8_t {
   kBsrTwoRound,    // two-round regular reads (III-C, option 2)
   kBsrWriteBack,   // two-round atomic reads (ABD write-back extension)
   kBcsr,           // erasure-coded, one-shot safe reads (Section IV)
+  kRb,             // RB-based baseline, n >= 3f+1 (Section VI comparator)
 };
 
 const char* to_string(ProtocolVariant v);
@@ -93,10 +95,11 @@ class RegisterClient final : public net::IProcess {
   void write(uint32_t object, Bytes value, const OpOptions& opts,
              WriteCallback cb);
 
-  /// Begins a one-round multi-get (replicated variants only; BCSR stores
-  /// coded elements, which the batch wire format does not carry). The
-  /// object ids are copied out of `objects` before the call returns; the
-  /// span may reference caller storage of any lifetime.
+  /// Begins a one-round multi-get (replicated RegisterServer variants only:
+  /// BCSR stores coded elements, which the batch wire format does not
+  /// carry, and RB servers do not serve batches). The object ids are copied
+  /// out of `objects` before the call returns; the span may reference
+  /// caller storage of any lifetime.
   void read_batch(std::span<const uint32_t> objects, BatchReadCallback cb);
   /// Braced-list convenience: read_batch({1, 2, 3}, cb).
   void read_batch(std::initializer_list<uint32_t> objects,

@@ -27,23 +27,29 @@ void NewestCache::publish(const Tag& tag, BytesView value) {
 }
 
 bool NewestCache::read(Tag* tag, Bytes* value) const {
-  InlineEntry entry;
-  if (!inline_.read(&entry)) return false;
-  if (entry.oversize != 0) {
-    // The pointee is immutable and carries its own tag, so even if the
-    // pointer has advanced past the snapshot we read, the pair returned is
-    // self-consistent (and newer -- monotonic, like the seqlock itself).
+  for (;;) {
+    InlineEntry entry;
+    if (!inline_.read(&entry)) return false;
+    const Tag snapshot_tag{entry.tag_num,
+                           ProcessId{static_cast<Role>(entry.writer_role),
+                                     entry.writer_index}};
+    if (entry.oversize == 0) {
+      *tag = snapshot_tag;
+      if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
+      return true;
+    }
+    // publish() stores the pointer before the snapshot that refers to it,
+    // so the pointer may already carry a newer pair than our snapshot.
+    // Returning it would not be monotonic: the next read could still see
+    // the older (inline) snapshot that is active until the publish ends.
+    // A tag mismatch means a publish is in flight; read again.
     const auto pair = oversize_.load(std::memory_order_acquire);
     if (pair == nullptr) return false;  // unreachable; defensive
+    if (pair->tag != snapshot_tag) continue;
     *tag = pair->tag;
     if (value != nullptr) *value = pair->value;
     return true;
   }
-  *tag = Tag{entry.tag_num,
-             ProcessId{static_cast<Role>(entry.writer_role),
-                       entry.writer_index}};
-  if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
-  return true;
 }
 
 // --- NewestCacheIndex -------------------------------------------------------

@@ -83,7 +83,8 @@ class NewestCache {
   common::Seqlock<InlineEntry> inline_;
   /// Published *before* the inline sentinel that points at it, so a reader
   /// that sees oversize == 1 always finds the pointer (release/acquire via
-  /// the seqlock's sequence).
+  /// the seqlock's sequence) -- possibly a newer one than its snapshot
+  /// names, which read() detects by tag and retries.
   std::atomic<std::shared_ptr<const TaggedValue>> oversize_;
 };
 

@@ -2,7 +2,7 @@
 //
 // The paper's model (Section II-A) is well-formed clients -- one operation
 // at a time -- and the protocol clients were historically written that way:
-// one QuorumTracker, one response map, one callback, guarded by busy().
+// one QuorumTracker, one response map, one callback per client object.
 // Nothing in the correctness argument actually needs that restriction on a
 // *process*: the witness rule (Lemma 1/Lemma 5) and the quorum bound
 // (Lemma 6) are counted per operation, so a client that keeps per-operation
@@ -154,14 +154,14 @@ enum class OpKind : uint8_t {
   kWriteBackRead = 5,
   kWrite = 6,
   kBatchRead = 7,
+  kRbRead = 8,
 };
 
 /// Per-client table of in-flight operations. Not itself registered with the
-/// transport: the owning client (RegisterClient or a legacy protocol class)
-/// forwards its envelopes to on_message(). All methods must run in the
-/// owning process's execution context (simulator event / mailbox thread);
-/// like every protocol object in this repo, OpMux is single-threaded by
-/// construction.
+/// transport: the owning RegisterClient forwards its envelopes to
+/// on_message(). All methods must run in the owning process's execution
+/// context (simulator event / mailbox thread); like every protocol object
+/// in this repo, OpMux is single-threaded by construction.
 class OpMux final {
  public:
   OpMux(ProcessId self, SystemConfig config, net::Transport* transport);

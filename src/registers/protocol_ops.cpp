@@ -227,13 +227,10 @@ void TwoRoundReadOp::send_read_done() {
   send_to_all_servers(done);
 }
 
-void TwoRoundReadOp::on_timeout() {
-  send_read_done();
-  complete(false);
-}
+void TwoRoundReadOp::on_timeout() { complete(false); }
 
 void TwoRoundReadOp::complete(bool fresh) {
-  if (!timed_out()) send_read_done();
+  send_read_done();
   auto self = detach_self();
   ReadResult result;
   result.value = state_->local.value;
@@ -469,6 +466,89 @@ void BatchReadOp::complete() {
 
   fill_result(batch, 1);
   if (cb_) cb_(batch);
+}
+
+// --- RbReadOp ---------------------------------------------------------------
+
+void RbReadOp::send_request() {
+  RegisterMessage query;
+  query.type = MsgType::kQueryData;
+  query.op_id = op_id();
+  query.object = object();
+  send_to_all_servers(query);
+}
+
+void RbReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
+  if (msg.object != object()) return;
+  switch (msg.type) {
+    case MsgType::kDataResp:
+      responded_.add(from);
+      break;
+    case MsgType::kDataUpdate:
+      saw_update_ = true;
+      break;
+    default:
+      return;
+  }
+  note_pair(from, TaggedValue{msg.tag, std::move(msg.value)});
+  try_complete();
+}
+
+void RbReadOp::note_pair(const ProcessId& from, TaggedValue pair) {
+  auto [it, inserted] = max_tag_.emplace(from, pair.tag);
+  if (!inserted) it->second = std::max(it->second, pair.tag);
+  vouchers_[std::move(pair)].insert(from);
+}
+
+void RbReadOp::try_complete() {
+  if (!responded_.reached()) return;
+
+  // H = (f+1)-th largest per-server newest tag. Robust both ways: at most
+  // f Byzantine tags can sit above it (so H is at most the largest honest
+  // tag and waiting for it terminates), and at least f+1 servers claim a
+  // tag >= H (so one honest server really holds something >= H).
+  std::vector<Tag> tags;
+  tags.reserve(max_tag_.size());
+  for (const auto& [server, tag] : max_tag_) tags.push_back(tag);
+  std::sort(tags.begin(), tags.end(), std::greater<>());
+  const Tag h = tags[std::min(tags.size() - 1, config().f)];
+
+  const TaggedValue* best = nullptr;
+  for (const auto& [pair, voters] : vouchers_) {
+    if (voters.size() >= config().witness_threshold() && pair.tag >= h) {
+      best = &pair;  // ascending map: last qualifying pair has highest tag
+    }
+  }
+  if (best == nullptr) return;  // keep waiting for DATA-UPDATE pushes
+
+  bool fresh = false;
+  if (best->tag > state_->local.tag) {
+    state_->local = *best;
+    fresh = true;
+  }
+  complete(fresh);
+}
+
+// No pair has passed the freshness bar H yet, so the local pair is the
+// only answer known to be a real write; timed_out flags the stale result.
+void RbReadOp::on_timeout() { complete(false); }
+
+void RbReadOp::complete(bool fresh) {
+  // End the subscriptions: without READ-DONE every server would keep
+  // pushing this op's DATA-UPDATEs.
+  RegisterMessage done;
+  done.type = MsgType::kReadDone;
+  done.op_id = op_id();
+  done.object = object();
+  send_to_all_servers(done);
+
+  auto self = detach_self();
+  ReadResult result;
+  result.value = state_->local.value;
+  result.tag = state_->local.tag;
+  result.fresh = fresh;
+  fill_result(result, saw_update_ ? 2 : 1);
+  if (cb_) cb_(result);
 }
 
 }  // namespace bftreg::registers

@@ -4,8 +4,10 @@
 // request it sends, the witness/decode logic that tallies responses, and
 // the fallback it completes with on timeout. Operation bookkeeping (ids,
 // routing, deadlines, retransmission) lives in OpMux; everything here is a
-// direct transcription of the corresponding figure of the paper, unchanged
-// from the single-operation clients it was factored out of.
+// direct transcription of the corresponding figure of the paper. The
+// paper defines each protocol as the state machine of one operation, and
+// each such machine exists exactly once, here; RegisterClient (client.h)
+// is the one client that runs them.
 //
 // Why multiplexing preserves the paper's guarantees: the witness rule
 // (f+1 identical reports pin an honest server, Lemma 1/Lemma 5) and the
@@ -55,7 +57,14 @@ using ReadCallback = std::function<void(const ReadResult&)>;
 using WriteCallback = std::function<void(const WriteResult&)>;
 using BatchReadCallback = std::function<void(const BatchReadResult&)>;
 
-/// BSR one-shot read (Fig. 2): one QUERY-DATA round, f+1-witness selection.
+/// BSR one-shot read (Section III, Fig. 2). A single get-data phase:
+/// QUERY-DATA to all servers, wait for n-f DATA-RESPs, and build P, the set
+/// of (tag, value) pairs reported identically by at least f+1 servers. That
+/// is the witness rule of Section III: f+1 matching reports pin at least
+/// one honest server behind the pair. Return the highest pair of P if it
+/// beats the reader's local pair, else the local pair (initially (t0, v0)).
+/// One round of client-to-server communication -- Definition 3's one-shot
+/// read, the paper's headline property.
 class BsrReadOp final : public PendingOp {
  public:
   BsrReadOp(const SystemConfig& config, LocalState* state, ReadCallback cb)
@@ -76,8 +85,17 @@ class BsrReadOp final : public PendingOp {
   std::map<ProcessId, TaggedValue> responses_;
 };
 
-/// BCSR one-shot coded read (Fig. 5): collect n-f elements, run the
-/// error-correcting decoder, fall back to the last decodable value.
+/// BCSR one-shot coded read (Section IV, Fig. 5): collect n-f coded
+/// elements and run the error-correcting decoder Phi^{-1}. Among the
+/// received elements at most (n-f) - (n-3f) = 2f are erroneous
+/// (Byzantine-corrupted or stale), which is exactly the decoder's budget
+/// (Lemma 4).
+///
+/// BCSR is a single-writer register. It tolerates several writers as long
+/// as their writes are never concurrent (paper, footnote 2); concurrent
+/// writes may leave the elements undecodable, and the read then falls back
+/// to the reader's last decoded value (initially v0) -- consistent with
+/// Definition 1(ii).
 class BcsrReadOp final : public PendingOp {
  public:
   BcsrReadOp(const SystemConfig& config, const codec::MdsCode* code,
@@ -103,8 +121,19 @@ class BcsrReadOp final : public PendingOp {
   std::vector<std::optional<Bytes>> elements_;  // index = server position
 };
 
-/// History-based regular read (Section III-C, option 1): one
-/// QUERY-HISTORY round; a server witnesses every pair in its history.
+/// History-based regular read, the first regularity fix of Section III-C:
+/// "We change line 9 of Algorithm 3 to send the entire history of writes
+/// (L) instead of just the locally available (t, v) pair."
+///
+/// The read stays one-shot (a single QUERY-HISTORY round), but a server
+/// now *witnesses* every pair in its history, not just its newest. In the
+/// Theorem 3 counterexample this is exactly what rescues regularity: the
+/// four concurrent writers each reached only one server with their
+/// PUT-DATA, so no new pair has f+1 witnesses -- but the previously
+/// completed write is in every honest server's history and wins, instead
+/// of the read sliding back to v0. The cost is server-to-reader bandwidth
+/// that grows with the history length (bench_regularity and
+/// bench_storage_comm measure it against BSR).
 class HistoryReadOp final : public PendingOp {
  public:
   HistoryReadOp(const SystemConfig& config, LocalState* state, ReadCallback cb)
@@ -125,8 +154,27 @@ class HistoryReadOp final : public PendingOp {
   std::map<TaggedValue, size_t> witnesses_;
 };
 
-/// Two-round regular read (Section III-C, option 2): get-tag over
-/// histories, then get-data for the chosen tag.
+/// Two-round regular read, the second regularity fix of Section III-C.
+///
+/// Phase get-tag: QUERY-TAG-HISTORY to all servers; wait for n-f
+///   TAG-HISTORY-RESPs. The candidate tags are those present in at least
+///   f+1 histories, so at least one honest server vouches that the tag
+///   belongs to a real write (a fabricated Byzantine tag collects at most
+///   f). Choose the largest candidate t*.
+/// Phase get-data: QUERY-DATA-AT(t*) to all servers; complete when f+1
+///   servers return the identical pair (t*, v); return v. READ-DONE then
+///   cancels the replies the servers still hold for this read.
+///
+/// Liveness note (documented deviation): servers answer QUERY-DATA-AT
+/// lazily -- if they have not yet received t*'s PUT-DATA they reply
+/// DATA-AT-MISSING and answer again once it arrives (reliable channels
+/// guarantee it will, since the writer multicasts PUT-DATA to all n
+/// servers). The single schedule this does not cover is a writer crashing
+/// *mid-multicast* after reaching f+1 servers but before the message to
+/// some honest server was placed in its channel; the paper's own Remark 1
+/// identifies exactly this all-or-none gap as the price of dropping
+/// reliable broadcast, and defers the full treatment to a technical
+/// report. bench_regularity exercises the non-crashing schedules.
 class TwoRoundReadOp final : public PendingOp {
  public:
   TwoRoundReadOp(const SystemConfig& config, LocalState* state, ReadCallback cb)
@@ -156,8 +204,20 @@ class TwoRoundReadOp final : public PendingOp {
   std::map<Bytes, std::set<ProcessId>> value_votes_;
 };
 
-/// Write-back atomic read (library extension): Fig. 2's get-data, then the
-/// chosen pair is written back to a quorum before returning.
+/// Write-back read: BSR upgraded to atomic reads (library extension).
+///
+/// The paper stops at safety/regularity because *fast* MWMR atomicity is
+/// impossible (Georgiou et al. [13], cited in Section VI) -- but slow
+/// atomicity is not. This read applies the classic ABD write-back idea to
+/// BSR: phase one is Fig. 2's witness-verified get-data; phase two writes
+/// the chosen (tag, value) pair back to n-f servers before returning. The
+/// write-back forces every later read's quorum to intersect it in >= f+1
+/// honest servers, so no later read can return an older write:
+/// cross-reader new/old inversion -- the one freedom regularity still
+/// allowed (see checker/consistency.h) -- is gone. It costs exactly what
+/// the impossibility theorem says it must: two rounds, not one
+/// (bench_read_latency and bench_regularity put the price next to what it
+/// buys).
 class WriteBackReadOp final : public PendingOp {
  public:
   WriteBackReadOp(const SystemConfig& config, LocalState* state, ReadCallback cb)
@@ -182,9 +242,20 @@ class WriteBackReadOp final : public PendingOp {
   bool fresh_{false};
 };
 
-/// Write (Fig. 1 / Fig. 4): get-tag with rank-(f+1) selection, then
-/// put-data -- replicated when `code` is null, per-server coded elements
-/// (Fig. 4 line 7) otherwise.
+/// Write (Fig. 1; Fig. 4 for BCSR), two phases:
+///   get-tag:  QUERY-TAG to all servers, wait for n-f TAG-RESPs, select the
+///             (f+1)-th highest tag t. The rank-(f+1) selection is what
+///             makes the phase Byzantine-robust: at most f fabricated
+///             sky-high tags can sit above it, so the selected tag is
+///             bounded by a tag an honest server actually reported, yet it
+///             is >= the tag of every complete preceding write (Lemma 2,
+///             Case 1).
+///   put-data: (t.num + 1, w) with the new value to all servers, wait for
+///             n-f ACKs. The value is replicated when `code` is null; with
+///             a code, server s_i gets its coded element Phi_i(v) instead
+///             (Fig. 4 line 7).
+/// The RB baseline uses the replicated write unchanged: only its servers
+/// differ (they apply and ACK on RB-delivery, rb_register.h).
 class WriteOp final : public PendingOp {
  public:
   WriteOp(const SystemConfig& config, const codec::MdsCode* code,
@@ -218,8 +289,15 @@ class WriteOp final : public PendingOp {
   Tag write_tag_{};
 };
 
-/// Batched multi-object one-shot read (library extension): one round, one
-/// request/response per server, Fig. 2's witness selection per object.
+/// Batched multi-object one-shot read (library extension): the multi-get
+/// every key-value store serves. A single one-shot round fetches the newest
+/// pair of many shared variables at once, and each object gets the full
+/// Fig. 2 treatment independently: per-object witness counting with the
+/// f+1 threshold, per-object monotone local state. The batch costs one
+/// round and one request/response per server however many objects it
+/// names, so a b-object batch saves a factor of b in messages over b
+/// separate BSR reads -- and keeps the paper's safety guarantee per object,
+/// since the witness argument of Lemma 1/Lemma 5 is object-wise.
 class BatchReadOp final : public PendingOp {
  public:
   BatchReadOp(const SystemConfig& config, std::map<uint32_t, LocalState>* states,
@@ -244,6 +322,39 @@ class BatchReadOp final : public PendingOp {
   BatchReadCallback cb_;
   QuorumTracker responded_;
   std::map<ProcessId, std::vector<TaggedValue>> responses_;
+};
+
+/// Read of the RB-based baseline register (the Section VI comparator; the
+/// servers' side is RbServer, rb_register.h). QUERY-DATA to all servers; a
+/// server answers with its newest pair and subscribes this read, pushing
+/// DATA-UPDATE for every pair it RB-delivers while the read is in
+/// progress. The read completes once >= n-f servers responded and some
+/// pair has f+1 matching vouchers with tag at least H, where H is the
+/// (f+1)-th largest of the servers' newest tags -- i.e. it waits out RB
+/// propagation until a verifiably fresh pair emerges. Every completion
+/// path sends READ-DONE, which ends the subscriptions. `rounds` is 2 when
+/// a DATA-UPDATE arrived before completion, 1 otherwise.
+class RbReadOp final : public PendingOp {
+ public:
+  RbReadOp(const SystemConfig& config, LocalState* state, ReadCallback cb)
+      : state_(state), cb_(std::move(cb)), responded_(config.quorum()) {}
+
+ protected:
+  void send_request() override;
+  void on_response(const ProcessId& from, RegisterMessage msg) override;
+  void on_timeout() override;
+
+ private:
+  void note_pair(const ProcessId& from, TaggedValue pair);
+  void try_complete();
+  void complete(bool fresh);
+
+  LocalState* const state_;
+  ReadCallback cb_;
+  QuorumTracker responded_;
+  bool saw_update_{false};
+  std::map<ProcessId, Tag> max_tag_;  // newest tag per server
+  std::map<TaggedValue, std::set<ProcessId>> vouchers_;
 };
 
 }  // namespace bftreg::registers

@@ -1,6 +1,5 @@
 #include "registers/rb_register.h"
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -106,13 +105,9 @@ void RbServer::on_message(const net::Envelope& env) {
     case MsgType::kQueryData:
       handle_query(env.from, *msg);
       break;
-    case MsgType::kReadDone: {
-      auto it = subscribers_.find(env.from);
-      if (it != subscribers_.end() && it->second.first <= msg->op_id) {
-        subscribers_.erase(it);
-      }
+    case MsgType::kReadDone:
+      handle_read_done(env.from, *msg);
       break;
-    }
     default:
       break;
   }
@@ -149,16 +144,18 @@ void RbServer::on_rb_deliver(const Bytes& blob) {
     update.object = b->object;
     update.tag = b->tag;
     update.value = b->value;
-    for (const auto& [reader, sub] : subscribers_) {
-      if (sub.second != b->object) continue;
-      update.op_id = sub.first;
-      reply(reader, update);
+    for (const auto& [key, object] : subscribers_) {
+      if (object != b->object) continue;
+      update.op_id = key.second;
+      reply(key.first, update);
     }
   }
 }
 
 void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
-  subscribers_[from] = {msg.op_id, msg.object};
+  if (done_before_query_.erase({from, msg.op_id}) == 0) {
+    subscribers_[{from, msg.op_id}] = msg.object;
+  }
   RegisterMessage resp;
   resp.type = MsgType::kDataResp;
   resp.op_id = msg.op_id;
@@ -177,115 +174,14 @@ void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
   reply(from, resp);
 }
 
-// --------------------------------------------------------------- RbReader
-
-RbReader::RbReader(ProcessId self, SystemConfig config,
-                   net::Transport* transport, uint32_t object)
-    : self_(self),
-      config_(std::move(config)),
-      transport_(transport),
-      object_(object),
-      responded_(config_.quorum()) {
-  local_ = TaggedValue{Tag::initial(), config_.initial_value};
-}
-
-void RbReader::start_read(Callback callback) {
-  assert(!reading_ && "at most one operation per client");
-  reading_ = true;
-  saw_update_ = false;
-  callback_ = std::move(callback);
-  invoked_at_ = transport_->now();
-  ++op_id_;
-  responded_.reset();
-  max_tag_.clear();
-  vouchers_.clear();
-
-  RegisterMessage query;
-  query.type = MsgType::kQueryData;
-  query.op_id = op_id_;
-  query.object = object_;
-  const Bytes payload = query.encode();
-  for (uint32_t i = 0; i < config_.n; ++i) {
-    transport_->send(self_, ProcessId::server(i), payload);
+void RbServer::handle_read_done(const ProcessId& from,
+                                const RegisterMessage& msg) {
+  // Exact match on the op id, as in RegisterServer::handle_read_done: a
+  // client's concurrent reads have unrelated (namespaced) ids, and each
+  // READ-DONE ends only its own read's subscription.
+  if (subscribers_.erase({from, msg.op_id}) == 0) {
+    done_before_query_.insert({from, msg.op_id});
   }
-}
-
-void RbReader::on_message(const net::Envelope& env) {
-  if (!reading_ || !env.from.is_server()) return;
-  auto msg = RegisterMessage::parse(env.payload);
-  if (!msg || msg->op_id != op_id_ || msg->object != object_) return;
-  switch (msg->type) {
-    case MsgType::kDataResp:
-      responded_.add(env.from);
-      note_pair(env.from, TaggedValue{msg->tag, std::move(msg->value)});
-      break;
-    case MsgType::kDataUpdate:
-      saw_update_ = true;
-      note_pair(env.from, TaggedValue{msg->tag, std::move(msg->value)});
-      break;
-    default:
-      return;
-  }
-  try_complete();
-}
-
-void RbReader::note_pair(const ProcessId& from, const TaggedValue& pair) {
-  auto [it, inserted] = max_tag_.emplace(from, pair.tag);
-  if (!inserted) it->second = std::max(it->second, pair.tag);
-  vouchers_[pair].insert(from);
-}
-
-void RbReader::try_complete() {
-  if (!responded_.reached()) return;
-
-  // H = (f+1)-th largest per-server newest tag. Robust both ways: at most
-  // f Byzantine tags can sit above it (so H is at most the largest honest
-  // tag and waiting for it terminates), and at least f+1 servers claim a
-  // tag >= H (so one honest server really holds something >= H).
-  std::vector<Tag> tags;
-  tags.reserve(max_tag_.size());
-  for (const auto& [server, tag] : max_tag_) tags.push_back(tag);
-  std::sort(tags.begin(), tags.end(), std::greater<>());
-  const Tag h = tags[std::min(tags.size() - 1, config_.f)];
-
-  const TaggedValue* best = nullptr;
-  for (const auto& [pair, voters] : vouchers_) {
-    if (voters.size() >= config_.witness_threshold() && pair.tag >= h) {
-      best = &pair;  // ascending map: last qualifying pair has highest tag
-    }
-  }
-  if (best == nullptr) return;  // keep waiting for DATA-UPDATE pushes
-
-  bool fresh = false;
-  if (best->tag > local_.tag) {
-    local_ = *best;
-    fresh = true;
-  }
-  finish(local_, fresh);
-}
-
-void RbReader::finish(const TaggedValue& chosen, bool fresh) {
-  reading_ = false;
-
-  RegisterMessage done;
-  done.type = MsgType::kReadDone;
-  done.op_id = op_id_;
-  done.object = object_;
-  const Bytes payload = done.encode();
-  for (uint32_t i = 0; i < config_.n; ++i) {
-    transport_->send(self_, ProcessId::server(i), payload);
-  }
-
-  ReadResult result;
-  result.value = chosen.value;
-  result.tag = chosen.tag;
-  result.fresh = fresh;
-  result.invoked_at = invoked_at_;
-  result.completed_at = transport_->now();
-  result.rounds = saw_update_ ? 2 : 1;
-  Callback cb = std::move(callback_);
-  callback_ = nullptr;
-  if (cb) cb(result);
 }
 
 }  // namespace bftreg::registers

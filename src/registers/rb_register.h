@@ -8,17 +8,15 @@
 // of reads that may have to wait for RB propagation instead of completing
 // in one shot.
 //
-// Flow:
-//   write: get-tag as in Fig. 1; then PUT-DATA to all servers. Each server
-//     treats the writer's PUT-DATA as the Bracha SEND step and runs
-//     ECHO/READY with its peers; it applies the pair and ACKs the writer
-//     only upon RB-delivery. The writer completes on n-f ACKs.
-//   read: QUERY-DATA to all servers; a server answers with its newest pair
-//     and subscribes the reader, pushing DATA-UPDATE for pairs applied
-//     while the read is in progress. The reader completes once >= n-f
-//     servers responded and some pair has f+1 matching vouchers with tag at
-//     least H, where H is the (f+1)-th largest per-server tag seen -- i.e.
-//     it waits out RB propagation until a verifiably fresh pair emerges.
+// Clients are RegisterClients with ProtocolVariant::kRb. Flow:
+//   write: the replicated WriteOp of Fig. 1 -- get-tag, then PUT-DATA to
+//     all servers. Each server treats the writer's PUT-DATA as the Bracha
+//     SEND step and runs ECHO/READY with its peers; it applies the pair and
+//     ACKs the writer only upon RB-delivery. The writer completes on n-f
+//     ACKs.
+//   read: RbReadOp (protocol_ops.h) -- QUERY-DATA to all servers; a server
+//     answers with its newest pair and subscribes the read, pushing
+//     DATA-UPDATE for pairs it applies until the read's READ-DONE.
 //
 // Scope note: this baseline exists to measure the latency/bandwidth cost
 // of relying on RB (benches E1-E3, E7). It is a faithful *latency* model of
@@ -28,25 +26,18 @@
 // their paper.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "broadcast/bracha.h"
 #include "net/transport.h"
-#include "registers/bsr_reader.h"
-#include "registers/bsr_writer.h"
 #include "registers/config.h"
 #include "registers/messages.h"
 #include "registers/object_store.h"
-#include "registers/quorum.h"
 
 namespace bftreg::registers {
-
-/// The baseline writer is protocol-identical to BSR's (Fig. 1); only the
-/// server side differs (apply-on-RB-delivery).
-using RbWriter = BsrWriter;
 
 class RbServer final : public net::IProcess {
  public:
@@ -67,6 +58,7 @@ class RbServer final : public net::IProcess {
  private:
   void handle_put_data(const ProcessId& from, const RegisterMessage& msg);
   void handle_query(const ProcessId& from, const RegisterMessage& msg);
+  void handle_read_done(const ProcessId& from, const RegisterMessage& msg);
   void on_rb_deliver(const Bytes& blob);
   void reply(const ProcessId& to, const RegisterMessage& msg);
 
@@ -83,43 +75,16 @@ class RbServer final : public net::IProcess {
   CompactObjectStore store_;
   /// Single delivery shard, so a plain counter suffices.
   size_t stored_bytes_{0};
-  /// reader -> (read op_id, object being read)
-  std::map<ProcessId, std::pair<uint64_t, uint32_t>> subscribers_;
-};
-
-class RbReader final : public net::IProcess {
- public:
-  using Callback = std::function<void(const ReadResult&)>;
-
-  RbReader(ProcessId self, SystemConfig config, net::Transport* transport,
-           uint32_t object = 0);
-
-  void start_read(Callback callback);
-  void on_message(const net::Envelope& env) override;
-
-  bool busy() const { return reading_; }
-  const ProcessId& id() const { return self_; }
-
- private:
-  void note_pair(const ProcessId& from, const TaggedValue& pair);
-  void try_complete();
-  void finish(const TaggedValue& chosen, bool fresh);
-
-  const ProcessId self_;
-  const SystemConfig config_;
-  net::Transport* const transport_;
-  const uint32_t object_;
-
-  TaggedValue local_;
-
-  bool reading_{false};
-  bool saw_update_{false};
-  uint64_t op_id_{0};
-  QuorumTracker responded_;
-  std::map<ProcessId, Tag> max_tag_;            // newest tag per server
-  std::map<TaggedValue, std::set<ProcessId>> vouchers_;
-  Callback callback_;
-  TimeNs invoked_at_{0};
+  using ReadKey = std::pair<ProcessId, uint64_t>;  // (reader, read op id)
+  /// Open read subscriptions -> the object each one reads. Keyed per op, not
+  /// per reader: a client may pipeline several reads, even of one object,
+  /// and each needs its own DATA-UPDATE stream until its own READ-DONE.
+  std::map<ReadKey, uint32_t> subscribers_;
+  /// READ-DONEs that overtook their read's QUERY-DATA (channels reorder).
+  /// The late query is then answered without subscribing -- a subscription
+  /// opened after its READ-DONE would never be closed. Each entry leaves
+  /// when that query lands, which reliable channels guarantee.
+  std::set<ReadKey> done_before_query_;
 };
 
 }  // namespace bftreg::registers

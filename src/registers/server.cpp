@@ -407,9 +407,9 @@ void RegisterServer::handle_query_data_at(const ProcessId& from,
   }
   // Not known yet: tell the reader so, and defer a real answer until the
   // corresponding PUT-DATA reaches us (channels are reliable, so unless the
-  // writer crashed mid-multicast it eventually will; see the liveness
-  // discussion in two_round_reader.h). PUT-DATA for this object routes to
-  // this shard, so the wake-up in apply_put finds the waiter locally.
+  // writer crashed mid-multicast it eventually will; see the liveness note
+  // on TwoRoundReadOp in protocol_ops.h). PUT-DATA for this object routes
+  // to this shard, so the wake-up in apply_put finds the waiter locally.
   Shard& shard = shard_for(req.object);
   shard.deferred[{req.object, req.tag}].emplace_back(from, req.op_id);
   shard.deferred_by_op[{from, req.op_id}].emplace_back(req.object, req.tag);

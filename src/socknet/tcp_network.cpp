@@ -423,13 +423,14 @@ bool TcpNetwork::ensure_recv_space(Endpoint* ep, ConnState& st) {
   Chunk& c = *st.chunk;
   const size_t unparsed = c.filled - st.parse_pos;
 
-  // How much contiguous room the data at parse_pos needs: the whole next
-  // frame if its header is visible (parse_frames validated it), otherwise
-  // just a minimum read window.
+  // How much contiguous room the data at parse_pos needs: exactly the next
+  // frame once its header is visible (parse_frames validated it), otherwise
+  // a minimum read window. A read window on top of a visible frame would
+  // judge a nearly complete large frame's chunk too small and copy the
+  // whole frame into a new one.
   size_t needed = unparsed + kMinRecv;
   if (unparsed >= 4) {
-    const uint32_t frame_len = load_le32(c.data.get() + st.parse_pos);
-    needed = std::max(needed, size_t{4} + frame_len);
+    needed = size_t{4} + load_le32(c.data.get() + st.parse_pos);
   }
   if (c.cap - st.parse_pos >= needed && c.cap > c.filled) return true;
 

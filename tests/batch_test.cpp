@@ -26,7 +26,7 @@ class BatchFixture : public ::testing::Test {
                                                           config_, &sim_, Bytes{}));
       sim_.add_process(ProcessId::server(i), servers_.back().get());
     }
-    reader_ = std::make_unique<BatchReader>(ProcessId::reader(0), config_, &sim_);
+    reader_ = std::make_unique<RegisterClient>(ProcessId::reader(0), config_, &sim_);
     sim_.add_process(ProcessId::reader(0), reader_.get());
   }
 
@@ -42,12 +42,12 @@ class BatchFixture : public ::testing::Test {
   }
 
   void write(uint32_t object, uint64_t num, Bytes v) {
-    auto writer = std::make_unique<BsrWriter>(
-        ProcessId::writer(next_writer_), config_, &sim_, object);
+    auto writer = std::make_unique<RegisterClient>(
+        ProcessId::writer(next_writer_), config_, &sim_);
     sim_.add_process(ProcessId::writer(next_writer_), writer.get());
     ++next_writer_;
     bool done = false;
-    writer->start_write(std::move(v), [&](const WriteResult& w) {
+    writer->write(object, std::move(v), [&](const WriteResult& w) {
       EXPECT_EQ(w.tag.num, num);
       done = true;
     });
@@ -58,7 +58,7 @@ class BatchFixture : public ::testing::Test {
   BatchReadResult read_batch(std::vector<uint32_t> objects) {
     BatchReadResult out;
     bool done = false;
-    reader_->start_read(std::move(objects), [&](const BatchReadResult& r) {
+    reader_->read_batch(objects, [&](const BatchReadResult& r) {
       out = r;
       done = true;
     });
@@ -69,9 +69,9 @@ class BatchFixture : public ::testing::Test {
   sim::Simulator sim_;
   SystemConfig config_;
   std::vector<std::unique_ptr<RegisterServer>> servers_;
-  std::vector<std::unique_ptr<BsrWriter>> writers_;
+  std::vector<std::unique_ptr<RegisterClient>> writers_;
   std::unique_ptr<adversary::ByzantineServer> byzantine_;
-  std::unique_ptr<BatchReader> reader_;
+  std::unique_ptr<RegisterClient> reader_;
   uint32_t next_writer_{0};
 };
 

@@ -277,8 +277,8 @@ class ValueLiar final : public adversary::Strategy {
 };
 
 TEST(WriterCrashTest, TwoRoundReadCanStallAfterPartialMulticast) {
-  // The documented liveness caveat of the 2R variant (two_round_reader.h,
-  // paper Remark 1): a write that crashed after reaching exactly one
+  // The documented liveness caveat of the 2R variant (TwoRoundReadOp in
+  // protocol_ops.h, paper Remark 1): a write that crashed after reaching exactly one
   // honest server plus a Byzantine one leaves a tag with f+1 histories
   // behind it but only ONE honest value-holder. The 2R read targets that
   // tag and waits for f+1 matching values that can never come -- the

@@ -17,7 +17,7 @@ bool has_rule(const std::vector<Violation>& vs, const std::string& rule) {
 
 TEST(LintRawThread, FlaggedOutsideRuntimeDirs) {
   const std::string src = "#include <thread>\nstd::thread t([]{});\n";
-  const auto vs = lint_content("src/registers/bsr_reader.cpp", src);
+  const auto vs = lint_content("src/registers/protocol_ops.cpp", src);
   ASSERT_TRUE(has_rule(vs, "raw-thread"));
   EXPECT_EQ(vs.front().line, 2);
 }
@@ -224,31 +224,6 @@ TEST(LintSocknetThread, WaiverHonored) {
                    "// one-shot drain helper: bftreg-lint: allow(socknet-thread)\n"
                    "std::thread t([&] { drain(); });\n"),
       "socknet-thread"));
-}
-
-TEST(LintLegacySingleOp, BusyCallSitesFlaggedOutsideRegisters) {
-  EXPECT_TRUE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp",
-                   "while (reader.busy()) sim_.step();\n"),
-      "legacy-single-op"));
-  EXPECT_TRUE(has_rule(
-      lint_content("src/workload/driver.cpp", "if (!writer->busy()) go();\n"),
-      "legacy-single-op"));
-}
-
-TEST(LintLegacySingleOp, RegistersLayerAndUnrelatedNamesExempt) {
-  // The low-level clients themselves implement and document busy().
-  EXPECT_FALSE(has_rule(
-      lint_content("src/registers/bsr_reader.h",
-                   "bool busy() const { return !mux_.idle(); }\n"),
-      "legacy-single-op"));
-  // A bare identifier or a different method is not a busy() call site.
-  EXPECT_FALSE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp", "bool busy = false;\n"),
-      "legacy-single-op"));
-  EXPECT_FALSE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp", "spin_while_busy();\n"),
-      "legacy-single-op"));
 }
 
 TEST(LintBlockingInLock, SyscallUnderMutexLockFlagged) {
@@ -804,8 +779,6 @@ TEST(LintSarif, GoldenDocument) {
       "{\"text\": \"resilience bound arithmetic outside config.h\"}},\n"
       "        {\"id\": \"lock-order\", \"shortDescription\": {\"text\": "
       "\"nested acquisition inverts a declared lock order\"}},\n"
-      "        {\"id\": \"legacy-single-op\", \"shortDescription\": {\"text\": "
-      "\"busy() call outside the low-level register clients\"}},\n"
       "        {\"id\": \"blocking-in-lock\", \"shortDescription\": {\"text\": "
       "\"call chain from a MutexLock scope to a blocking syscall\"}},\n"
       "        {\"id\": \"lock-cycle\", \"shortDescription\": {\"text\": "
@@ -827,7 +800,7 @@ TEST(LintSarif, GoldenDocument) {
       "      ]\n"
       "    }},\n"
       "    \"results\": [\n"
-      "      {\"ruleId\": \"blocking-in-lock\", \"ruleIndex\": 7, \"level\": "
+      "      {\"ruleId\": \"blocking-in-lock\", \"ruleIndex\": 6, \"level\": "
       "\"error\", \"message\": {\"text\": \"blocking call '::sendmsg' while "
       "'out_mu' is held\"}, \"locations\": [{\"physicalLocation\": "
       "{\"artifactLocation\": {\"uri\": \"src/socknet/tcp_network.cpp\"}, "

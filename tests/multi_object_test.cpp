@@ -32,10 +32,10 @@ class MultiObjectFixture : public ::testing::Test {
 
   /// Creates a writer/reader pair for `object`; ids must be unique.
   void add_clients(uint32_t object) {
-    auto w = std::make_unique<BsrWriter>(ProcessId::writer(object), config_, &sim_,
-                                         object);
-    auto r = std::make_unique<BsrReader>(ProcessId::reader(object), config_, &sim_,
-                                         object);
+    auto w = std::make_unique<RegisterClient>(ProcessId::writer(object), config_,
+                                              &sim_);
+    auto r = std::make_unique<RegisterClient>(ProcessId::reader(object), config_,
+                                              &sim_);
     sim_.add_process(ProcessId::writer(object), w.get());
     sim_.add_process(ProcessId::reader(object), r.get());
     writers_[object] = std::move(w);
@@ -45,7 +45,7 @@ class MultiObjectFixture : public ::testing::Test {
   WriteResult write(uint32_t object, Bytes value) {
     WriteResult out;
     bool done = false;
-    writers_[object]->start_write(std::move(value), [&](const WriteResult& w) {
+    writers_[object]->write(object, std::move(value), [&](const WriteResult& w) {
       out = w;
       done = true;
     });
@@ -56,7 +56,7 @@ class MultiObjectFixture : public ::testing::Test {
   ReadResult read(uint32_t object) {
     ReadResult out;
     bool done = false;
-    readers_[object]->start_read([&](const ReadResult& r) {
+    readers_[object]->read(object, [&](const ReadResult& r) {
       out = r;
       done = true;
     });
@@ -67,8 +67,8 @@ class MultiObjectFixture : public ::testing::Test {
   sim::Simulator sim_;
   SystemConfig config_;
   std::vector<std::unique_ptr<RegisterServer>> servers_;
-  std::map<uint32_t, std::unique_ptr<BsrWriter>> writers_;
-  std::map<uint32_t, std::unique_ptr<BsrReader>> readers_;
+  std::map<uint32_t, std::unique_ptr<RegisterClient>> writers_;
+  std::map<uint32_t, std::unique_ptr<RegisterClient>> readers_;
 };
 
 TEST_F(MultiObjectFixture, ObjectsAreIsolated) {
@@ -119,8 +119,8 @@ TEST_F(MultiObjectFixture, ConcurrentOpsOnDifferentObjectsDoNotInterfere) {
   bool d1 = false;
   bool d2 = false;
   Bytes r2;
-  writers_[1]->start_write(val("big"), [&](const WriteResult&) { d1 = true; });
-  readers_[2]->start_read([&](const ReadResult& r) {
+  writers_[1]->write(1, val("big"), [&](const WriteResult&) { d1 = true; });
+  readers_[2]->read(2, [&](const ReadResult& r) {
     d2 = true;
     r2 = r.value;
   });
@@ -132,32 +132,35 @@ TEST_F(MultiObjectFixture, HistoryAndTwoRoundReadersHonorObjects) {
   add_clients(3);
   write(3, val("h"));
 
-  HistoryReader hist(ProcessId::reader(50), config_, &sim_, /*object=*/3);
+  RegisterClient hist(ProcessId::reader(50), config_, &sim_,
+                      {ProtocolVariant::kBsrHistory});
   sim_.add_process(ProcessId::reader(50), &hist);
   bool done = false;
   Bytes got;
-  hist.start_read([&](const ReadResult& r) {
+  hist.read(/*object=*/3, [&](const ReadResult& r) {
     done = true;
     got = r.value;
   });
   ASSERT_TRUE(sim_.run_until([&] { return done; }));
   EXPECT_EQ(got, val("h"));
 
-  TwoRoundReader two(ProcessId::reader(51), config_, &sim_, /*object=*/3);
+  RegisterClient two(ProcessId::reader(51), config_, &sim_,
+                     {ProtocolVariant::kBsrTwoRound});
   sim_.add_process(ProcessId::reader(51), &two);
   done = false;
-  two.start_read([&](const ReadResult& r) {
+  two.read(/*object=*/3, [&](const ReadResult& r) {
     done = true;
     got = r.value;
   });
   ASSERT_TRUE(sim_.run_until([&] { return done; }));
   EXPECT_EQ(got, val("h"));
 
-  // A reader bound to a different object still sees v0.
-  TwoRoundReader other(ProcessId::reader(52), config_, &sim_, /*object=*/4);
+  // A read of a different object still sees v0.
+  RegisterClient other(ProcessId::reader(52), config_, &sim_,
+                       {ProtocolVariant::kBsrTwoRound});
   sim_.add_process(ProcessId::reader(52), &other);
   done = false;
-  other.start_read([&](const ReadResult& r) {
+  other.read(/*object=*/4, [&](const ReadResult& r) {
     done = true;
     got = r.value;
   });
@@ -178,32 +181,33 @@ TEST(MultiObjectBcsrTest, CodedObjectsAreIsolated) {
                                                        &sim, initial[i]));
     sim.add_process(ProcessId::server(i), servers.back().get());
   }
-  BcsrWriter w1(ProcessId::writer(0), cfg, &sim, 1);
-  BcsrWriter w2(ProcessId::writer(1), cfg, &sim, 2);
-  BcsrReader r1(ProcessId::reader(0), cfg, &sim, 1);
-  BcsrReader r2(ProcessId::reader(1), cfg, &sim, 2);
+  const ClientOptions bcsr{ProtocolVariant::kBcsr};
+  RegisterClient w1(ProcessId::writer(0), cfg, &sim, bcsr);
+  RegisterClient w2(ProcessId::writer(1), cfg, &sim, bcsr);
+  RegisterClient r1(ProcessId::reader(0), cfg, &sim, bcsr);
+  RegisterClient r2(ProcessId::reader(1), cfg, &sim, bcsr);
   sim.add_process(ProcessId::writer(0), &w1);
   sim.add_process(ProcessId::writer(1), &w2);
   sim.add_process(ProcessId::reader(0), &r1);
   sim.add_process(ProcessId::reader(1), &r2);
 
   bool d = false;
-  w1.start_write(Bytes(100, 0xAA), [&](const WriteResult&) { d = true; });
+  w1.write(1, Bytes(100, 0xAA), [&](const WriteResult&) { d = true; });
   ASSERT_TRUE(sim.run_until([&] { return d; }));
   d = false;
-  w2.start_write(Bytes(100, 0xBB), [&](const WriteResult&) { d = true; });
+  w2.write(2, Bytes(100, 0xBB), [&](const WriteResult&) { d = true; });
   ASSERT_TRUE(sim.run_until([&] { return d; }));
 
   Bytes got1;
   Bytes got2;
   d = false;
-  r1.start_read([&](const ReadResult& r) {
+  r1.read(1, [&](const ReadResult& r) {
     got1 = r.value;
     d = true;
   });
   ASSERT_TRUE(sim.run_until([&] { return d; }));
   d = false;
-  r2.start_read([&](const ReadResult& r) {
+  r2.read(2, [&](const ReadResult& r) {
     got2 = r.value;
     d = true;
   });
@@ -225,27 +229,28 @@ TEST(MultiObjectRbTest, BaselineObjectsAreIsolated) {
         std::make_unique<RbServer>(ProcessId::server(i), cfg, &sim, Bytes{}));
     sim.add_process(ProcessId::server(i), servers.back().get());
   }
-  RbWriter w1(ProcessId::writer(0), cfg, &sim, 1);
-  RbReader r1(ProcessId::reader(0), cfg, &sim, 1);
-  RbReader r2(ProcessId::reader(1), cfg, &sim, 2);
+  const ClientOptions rb{ProtocolVariant::kRb};
+  RegisterClient w1(ProcessId::writer(0), cfg, &sim, rb);
+  RegisterClient r1(ProcessId::reader(0), cfg, &sim, rb);
+  RegisterClient r2(ProcessId::reader(1), cfg, &sim, rb);
   sim.add_process(ProcessId::writer(0), &w1);
   sim.add_process(ProcessId::reader(0), &r1);
   sim.add_process(ProcessId::reader(1), &r2);
 
   bool d = false;
-  w1.start_write(Bytes{'q'}, [&](const WriteResult&) { d = true; });
+  w1.write(1, Bytes{'q'}, [&](const WriteResult&) { d = true; });
   ASSERT_TRUE(sim.run_until([&] { return d; }));
 
   Bytes got1;
   Bytes got2{'x'};
   d = false;
-  r1.start_read([&](const ReadResult& r) {
+  r1.read(1, [&](const ReadResult& r) {
     got1 = r.value;
     d = true;
   });
   ASSERT_TRUE(sim.run_until([&] { return d; }));
   d = false;
-  r2.start_read([&](const ReadResult& r) {
+  r2.read(2, [&](const ReadResult& r) {
     got2 = r.value;
     d = true;
   });

@@ -2,7 +2,10 @@
 // whose latency cost motivates the paper (Section I-B, Section VI / [15]).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "checker/consistency.h"
 #include "harness/sim_cluster.h"
@@ -105,6 +108,144 @@ TEST(RbRegisterTest, ReaderWaitsOutPropagationWhenServersLag) {
 
   const auto r = cluster.read(0);
   EXPECT_EQ(r.value, val("second"));
+}
+
+TEST(RbRegisterTest, PipelinedReadsEachWaitOutPropagation) {
+  // One RegisterClient keeps three RB reads in flight -- two of object 0,
+  // one of object 1 -- while Bracha frames toward servers 1 and 2 crawl,
+  // so only server 0 has RB-delivered the newest write of object 0 when
+  // the reads start. Server 3 fabricates sky-high tags, which makes H the
+  // newest honest tag: each read of object 0 needs a second voucher for
+  // the new pair, and that voucher arrives as a DATA-UPDATE push. The
+  // servers key subscriptions by (reader, op id), so both reads of object
+  // 0 get their pushes; keyed by reader, the second read's QUERY-DATA
+  // would take over the first's subscription and stall it forever.
+  sim::Simulator sim(sim::SimConfig::with_uniform_delay(9, 500, 1500));
+  registers::SystemConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  std::vector<std::unique_ptr<registers::RbServer>> honest;
+  for (uint32_t i = 0; i < 3; ++i) {
+    honest.push_back(std::make_unique<registers::RbServer>(
+        ProcessId::server(i), cfg, &sim, Bytes{}));
+    sim.add_process(ProcessId::server(i), honest.back().get());
+  }
+  adversary::ServerContext ctx;
+  ctx.self = ProcessId::server(3);
+  ctx.config = cfg;
+  ctx.transport = &sim;
+  ctx.rng = Rng(3);
+  adversary::ByzantineServer liar(
+      std::move(ctx), adversary::make_strategy(StrategyKind::kFabricate, 3));
+  sim.add_process(ProcessId::server(3), &liar);
+
+  const registers::ClientOptions rb{registers::ProtocolVariant::kRb};
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &sim, rb);
+  registers::RegisterClient reader(ProcessId::reader(0), cfg, &sim, rb);
+  sim.add_process(ProcessId::writer(0), &writer);
+  sim.add_process(ProcessId::reader(0), &reader);
+
+  // One execution record per object: each object is its own register.
+  std::array<checker::ExecutionRecorder, 2> rec;
+  auto write = [&](uint32_t object, Bytes v) {
+    const uint64_t id = rec[object].begin_write(writer.id(), sim.now(), v);
+    writer.write(object, std::move(v),
+                 [&, object, id](const registers::WriteResult& r) {
+                   rec[object].complete_write(id, sim.now(), r.tag);
+                 });
+  };
+  std::vector<std::pair<uint32_t, registers::ReadResult>> results;
+  auto read = [&](uint32_t object) {
+    const uint64_t id = rec[object].begin_read(reader.id(), sim.now());
+    reader.read(object, [&, object, id](const registers::ReadResult& r) {
+      rec[object].complete_read(id, sim.now(), r.value, r.tag);
+      results.emplace_back(object, r);
+    });
+  };
+
+  write(0, val("first"));
+  write(1, val("one"));
+  sim.run_until_idle();
+
+  sim.delay_model().set_hook([](const net::Envelope& env) -> std::optional<TimeNs> {
+    if (env.from.is_server() && env.to.is_server() &&
+        (env.to.index == 1 || env.to.index == 2)) {
+      return TimeNs{400'000};
+    }
+    return std::nullopt;
+  });
+  write(0, val("second"));
+  ASSERT_TRUE(sim.run_until(
+      [&] { return honest[0]->store(0).back().value == val("second"); }));
+  ASSERT_EQ(honest[1]->store(0).back().value, val("first"));
+
+  read(0);
+  read(0);
+  read(1);
+  EXPECT_EQ(reader.in_flight(), 3u);
+  sim.run_until_idle();  // no deadlines: each read must finish on its own
+
+  ASSERT_EQ(results.size(), 3u);
+  size_t two_round = 0;
+  for (const auto& [object, r] : results) {
+    EXPECT_FALSE(r.timed_out);
+    if (object == 1) {
+      EXPECT_EQ(r.value, val("one"));
+    }
+    if (r.rounds == 2) ++two_round;
+  }
+  EXPECT_GE(two_round, 1u) << "no read took the DATA-UPDATE path";
+  checker::CheckOptions copts;
+  copts.strict_validity = true;
+  for (const auto& r : rec) {
+    const auto res = check_safety(r.ops(), copts);
+    EXPECT_TRUE(res.ok) << res.violation << "\n" << r.dump();
+  }
+}
+
+/// Parses and keeps every register message delivered to it.
+class ReplyProbe final : public net::IProcess {
+ public:
+  void on_message(const net::Envelope& env) override {
+    if (auto m = registers::RegisterMessage::parse(env.payload)) got.push_back(*m);
+  }
+  size_t count(registers::MsgType type, uint64_t op_id) const {
+    size_t n = 0;
+    for (const auto& m : got) n += (m.type == type && m.op_id == op_id) ? 1 : 0;
+    return n;
+  }
+  std::vector<registers::RegisterMessage> got;
+};
+
+TEST(RbRegisterTest, ReadDoneThatOvertakesItsQueryOpensNoSubscription) {
+  // Channels reorder, so a read's READ-DONE can reach a server before the
+  // read's own QUERY-DATA. The late query is still answered, but must not
+  // subscribe: no later READ-DONE would close that subscription, and the
+  // server would push the finished read a DATA-UPDATE for every write.
+  SimCluster cluster(rb_options(4, 1));
+  cluster.start();
+  const ProcessId reader = ProcessId::reader(7);
+  ReplyProbe probe;
+  cluster.sim().add_process(reader, &probe);
+  // One fixed-delay link: messages arrive in the order they are sent.
+  cluster.sim().delay_model().set_link_delay(reader, ProcessId::server(0), 1000);
+  auto send = [&](registers::MsgType type, uint64_t op_id) {
+    registers::RegisterMessage m;
+    m.type = type;
+    m.op_id = op_id;
+    cluster.sim().send(reader, ProcessId::server(0), m.encode());
+  };
+  send(registers::MsgType::kQueryData, 43);  // a read still in progress
+  send(registers::MsgType::kReadDone, 42);   // overtook its own query
+  send(registers::MsgType::kQueryData, 42);
+  cluster.sim().run_until_idle();
+  EXPECT_EQ(probe.count(registers::MsgType::kDataResp, 42), 1u);
+  EXPECT_EQ(probe.count(registers::MsgType::kDataResp, 43), 1u);
+
+  cluster.write(0, val("after"));
+  cluster.sim().run_until_idle();
+  EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, 43), 1u);
+  EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, 42), 0u);
 }
 
 TEST(RbRegisterTest, ConcurrentWritersBothLand) {

@@ -1,5 +1,7 @@
-// Tests for the Section III-C regularity extensions (HistoryReader and
-// TwoRoundReader), centered on the Theorem 3 counterexample: the schedule
+// Tests for the Section III-C regularity extensions (history reads and
+// two-round reads: HistoryReadOp and TwoRoundReadOp, run by RegisterClient
+// as ProtocolVariant::kBsrHistory and kBsrTwoRound), centered on the
+// Theorem 3 counterexample: the schedule
 // under which plain BSR is provably NOT regular, and both extensions are.
 #include <gtest/gtest.h>
 

@@ -44,43 +44,22 @@ class RuntimeBsr {
   ~RuntimeBsr() { net_->stop(); }
 
   void add_writer(uint32_t i) {
-    writers_.push_back(std::make_unique<BsrWriter>(ProcessId::writer(i), config_,
-                                                   net_.get()));
+    writers_.push_back(std::make_unique<RegisterClient>(ProcessId::writer(i),
+                                                        config_, net_.get()));
     net_->add_process(ProcessId::writer(i), writers_.back().get());
   }
   void add_reader(uint32_t i) {
-    readers_.push_back(std::make_unique<BsrReader>(ProcessId::reader(i), config_,
-                                                   net_.get()));
+    readers_.push_back(std::make_unique<RegisterClient>(ProcessId::reader(i),
+                                                        config_, net_.get()));
     net_->add_process(ProcessId::reader(i), readers_.back().get());
   }
   void start() { net_->start(); }
 
   WriteResult write(size_t w, Bytes value) {
-    WriteResult out;
-    runtime::BlockingInvoker invoker(*net_);
-    invoker.run(ProcessId::writer(static_cast<uint32_t>(w)),
-                [&](std::function<void()> done) {
-                  writers_[w]->start_write(std::move(value),
-                                           [&out, done](const WriteResult& r) {
-                                             out = r;
-                                             done();
-                                           });
-                });
-    return out;
+    return BlockingRegisterClient(*writers_[w]).write(0, std::move(value));
   }
 
-  ReadResult read(size_t r) {
-    ReadResult out;
-    runtime::BlockingInvoker invoker(*net_);
-    invoker.run(ProcessId::reader(static_cast<uint32_t>(r)),
-                [&](std::function<void()> done) {
-                  readers_[r]->start_read([&out, done](const ReadResult& res) {
-                    out = res;
-                    done();
-                  });
-                });
-    return out;
-  }
+  ReadResult read(size_t r) { return BlockingRegisterClient(*readers_[r]).read(0); }
 
   runtime::ThreadNetwork& net() { return *net_; }
 
@@ -88,8 +67,8 @@ class RuntimeBsr {
   SystemConfig config_;
   std::unique_ptr<runtime::ThreadNetwork> net_;
   std::vector<std::unique_ptr<RegisterServer>> servers_;
-  std::vector<std::unique_ptr<BsrWriter>> writers_;
-  std::vector<std::unique_ptr<BsrReader>> readers_;
+  std::vector<std::unique_ptr<RegisterClient>> writers_;
+  std::vector<std::unique_ptr<RegisterClient>> readers_;
 };
 
 TEST(RuntimeRegisterTest, WriteThenReadOnRealThreads) {
@@ -194,25 +173,16 @@ TEST(RuntimeRegisterTest, BcsrDecodesOnRealThreads) {
                                                        &net, initial[i]));
     net.add_process(ProcessId::server(i), servers.back().get());
   }
-  BcsrWriter writer(ProcessId::writer(0), cfg, &net);
-  BcsrReader reader(ProcessId::reader(0), cfg, &net);
+  const ClientOptions bcsr{ProtocolVariant::kBcsr};
+  RegisterClient writer(ProcessId::writer(0), cfg, &net, bcsr);
+  RegisterClient reader(ProcessId::reader(0), cfg, &net, bcsr);
   net.add_process(ProcessId::writer(0), &writer);
   net.add_process(ProcessId::reader(0), &reader);
   net.start();
 
   const Bytes payload(5000, 0x5C);
-  runtime::BlockingInvoker invoker(net);
-  invoker.run(ProcessId::writer(0), [&](std::function<void()> done) {
-    writer.start_write(payload, [done](const WriteResult&) { done(); });
-  });
-  Bytes got;
-  invoker.run(ProcessId::reader(0), [&](std::function<void()> done) {
-    reader.start_read([&got, done](const ReadResult& r) {
-      got = r.value;
-      done();
-    });
-  });
-  EXPECT_EQ(got, payload);
+  BlockingRegisterClient(writer).write(0, payload);
+  EXPECT_EQ(BlockingRegisterClient(reader).read(0).value, payload);
   net.stop();
 }
 

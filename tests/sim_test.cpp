@@ -1,7 +1,9 @@
 // Tests for the deterministic discrete-event simulator.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,7 +11,9 @@
 #include "adversary/churn.h"
 #include "harness/scenarios.h"
 #include "net/transport.h"
+#include "registers/messages.h"
 #include "sim/simulator.h"
+#include "workload/workload.h"
 
 namespace bftreg::sim {
 namespace {
@@ -324,6 +328,198 @@ TEST(ScheduleSeedTest, ChurnRunsAreReproducibleAcrossTestOrdering) {
   ASSERT_FALSE(values_a.empty());
   EXPECT_EQ(values_a, values_b)
       << "schedule execution must not depend on what ran before it";
+}
+
+// ---------------------------------------------- message-trace identity
+//
+// A seeded simulator run is a pure function of its seed, so a refactor of
+// the client or harness layers can show that it changed nothing on the
+// wire: every send of the runs below is folded into an FNV-1a digest that
+// is pinned here. For each send the digest takes the send time, sender,
+// receiver and payload size. Register messages add every field a receiver
+// acts on except the op id, which is client-local bookkeeping that a
+// client refactor may legitimately renumber. Server-to-server frames --
+// Bracha ECHO/READY in the RB baseline -- go in as raw bytes.
+
+class TraceDigest {
+ public:
+  /// Installs a delay hook that records each send and returns nullopt, so
+  /// the base delay model still draws every delay: recording takes no
+  /// randomness and leaves the schedule untouched.
+  explicit TraceDigest(Simulator& sim) {
+    sim.delay_model().set_hook(
+        [this](const net::Envelope& env) -> std::optional<TimeNs> {
+          record(env);
+          return std::nullopt;
+        });
+  }
+  // The hook holds `this`.
+  TraceDigest(const TraceDigest&) = delete;
+  TraceDigest& operator=(const TraceDigest&) = delete;
+
+  uint64_t digest() const { return h_; }
+  uint64_t messages() const { return messages_; }
+
+ private:
+  void record(const net::Envelope& env) {
+    ++messages_;
+    mix(env.sent_at);
+    mix_pid(env.from);
+    mix_pid(env.to);
+    mix(env.payload.size());
+    if (env.from.is_server() && env.to.is_server()) {
+      mix_bytes(env.payload);
+      return;
+    }
+    auto msg = registers::RegisterMessage::parse(env.payload);
+    if (!msg) {
+      mix_bytes(env.payload);
+      return;
+    }
+    mix(static_cast<uint64_t>(msg->type));
+    mix(msg->object);
+    mix_tag(msg->tag);
+    mix_bytes(msg->value);
+    mix(msg->history.size());
+    for (const auto& tv : msg->history) {
+      mix_tag(tv.tag);
+      mix_bytes(tv.value);
+    }
+    mix(msg->tags.size());
+    for (const Tag& t : msg->tags) mix_tag(t);
+    mix(msg->objects.size());
+    for (const uint32_t o : msg->objects) mix(o);
+    mix(msg->epoch);
+  }
+
+  void mix(uint64_t v) { h_ = fnv1a64(&v, sizeof(v), h_); }
+  void mix_bytes(BytesView b) {
+    mix(b.size());
+    h_ = fnv1a64(b.data(), b.size(), h_);
+  }
+  void mix_pid(const ProcessId& p) {
+    mix(static_cast<uint64_t>(p.role));
+    mix(p.index);
+  }
+  void mix_tag(const Tag& t) {
+    mix(t.num);
+    mix_pid(t.writer);
+  }
+
+  uint64_t h_{0xcbf29ce484222325ULL};
+  uint64_t messages_{0};
+};
+
+struct PinnedTrace {
+  harness::Protocol protocol;
+  uint64_t digest;
+  uint64_t messages;
+};
+
+harness::ClusterOptions trace_options(harness::Protocol protocol,
+                                      size_t writers, size_t readers) {
+  harness::ClusterOptions o;
+  o.protocol = protocol;
+  o.config.f = 1;
+  o.config.n = harness::min_servers(protocol, 1);
+  o.num_writers = writers;
+  o.num_readers = readers;
+  o.seed = 2020;
+  return o;
+}
+
+/// 24 operations, one at a time: each is driven to quiescence (every
+/// straggler delivered) before the next starts.
+void run_sequential_mixed(harness::SimCluster& cluster) {
+  Rng rng(77);
+  const size_t writers = cluster.options().num_writers;
+  const size_t readers = cluster.options().num_readers;
+  uint64_t counter = 0;
+  for (int i = 0; i < 24; ++i) {
+    if (i == 0 || rng.bernoulli(0.4)) {
+      cluster.start_write(rng.uniform(writers),
+                          workload::make_value(77, counter++, 24));
+    } else {
+      cluster.start_read(rng.uniform(readers));
+    }
+    cluster.sim().run_until_idle();
+  }
+}
+
+/// Operations overlap: each step starts an op on a random idle client,
+/// then advances virtual time by less than a round trip or two.
+void run_overlapping(harness::SimCluster& cluster) {
+  Rng rng(91);
+  std::vector<std::optional<uint64_t>> wop(cluster.options().num_writers);
+  std::vector<std::optional<uint64_t>> rop(cluster.options().num_readers);
+  uint64_t counter = 0;
+  for (int step = 0; step < 60; ++step) {
+    for (auto* ops : {&wop, &rop}) {
+      for (auto& s : *ops) {
+        if (s && cluster.op_done(*s)) s.reset();
+      }
+    }
+    if (rng.bernoulli(0.4)) {
+      const size_t w = rng.uniform(wop.size());
+      if (!wop[w]) {
+        wop[w] = cluster.start_write(w, workload::make_value(91, counter++, 24));
+      }
+    } else {
+      const size_t r = rng.uniform(rop.size());
+      if (!rop[r]) rop[r] = cluster.start_read(r);
+    }
+    cluster.sim().run_until_time(cluster.sim().now() + rng.uniform(3000));
+  }
+  cluster.sim().run_until_idle();
+  for (auto* ops : {&wop, &rop}) {
+    for (auto& s : *ops) {
+      if (s) {
+        EXPECT_TRUE(cluster.op_done(*s));
+      }
+    }
+  }
+}
+
+// Recorded before the single-op protocol wrappers were folded into
+// RegisterClient; any client/harness refactor must reproduce them exactly.
+TEST(TraceIdentityTest, SequentialMixedWorkloadTracesArePinned) {
+  const std::array<PinnedTrace, 6> pinned{{
+      {harness::Protocol::kBsr, 10401915816654979441ULL, 360},
+      {harness::Protocol::kBsrHistory, 4368149015353763333ULL, 360},
+      {harness::Protocol::kBsr2R, 1198673684144929061ULL, 540},
+      {harness::Protocol::kBcsr, 17465124590979284006ULL, 432},
+      {harness::Protocol::kRb, 17583313239945567154ULL, 624},
+      {harness::Protocol::kBsrWb, 5981221302261872674ULL, 480},
+  }};
+  for (const auto& p : pinned) {
+    harness::SimCluster cluster(trace_options(p.protocol, 2, 2));
+    cluster.start();
+    TraceDigest trace(cluster.sim());
+    run_sequential_mixed(cluster);
+    EXPECT_EQ(trace.digest(), p.digest) << harness::to_string(p.protocol);
+    EXPECT_EQ(trace.messages(), p.messages) << harness::to_string(p.protocol);
+  }
+}
+
+TEST(TraceIdentityTest, OverlappingWorkloadTracesArePinned) {
+  const std::array<PinnedTrace, 5> pinned{{
+      {harness::Protocol::kBsr, 11169262877550426606ULL, 680},
+      {harness::Protocol::kBsrHistory, 11348578213696929881ULL, 680},
+      {harness::Protocol::kBsr2R, 9166804348493399306ULL, 1010},
+      {harness::Protocol::kBcsr, 5248145948763188880ULL, 648},
+      {harness::Protocol::kBsrWb, 9037823707391584601ULL, 840},
+  }};
+  for (const auto& p : pinned) {
+    // BCSR is single-writer: concurrent writes may legitimately fail to
+    // decode (footnote 2), which this trace is not about.
+    const size_t writers = p.protocol == harness::Protocol::kBcsr ? 1 : 2;
+    harness::SimCluster cluster(trace_options(p.protocol, writers, 2));
+    cluster.start();
+    TraceDigest trace(cluster.sim());
+    run_overlapping(cluster);
+    EXPECT_EQ(trace.digest(), p.digest) << harness::to_string(p.protocol);
+    EXPECT_EQ(trace.messages(), p.messages) << harness::to_string(p.protocol);
+  }
 }
 
 }  // namespace

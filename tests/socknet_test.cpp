@@ -428,23 +428,23 @@ TEST(TcpNetworkTest, BsrRegisterOverRealSockets) {
         ProcessId::server(i), cfg, &net, Bytes{}));
     net.add_process(ProcessId::server(i), servers.back().get());
   }
-  registers::BsrWriter writer(ProcessId::writer(0), cfg, &net);
-  registers::BsrReader reader(ProcessId::reader(0), cfg, &net);
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &net);
+  registers::RegisterClient reader(ProcessId::reader(0), cfg, &net);
   net.add_process(ProcessId::writer(0), &writer);
   net.add_process(ProcessId::reader(0), &reader);
   net.start();
 
   std::promise<void> wrote;
   net.post(ProcessId::writer(0), [&] {
-    writer.start_write(Bytes{'t', 'c', 'p'},
-                       [&](const registers::WriteResult&) { wrote.set_value(); });
+    writer.write(0, Bytes{'t', 'c', 'p'},
+                 [&](const registers::WriteResult&) { wrote.set_value(); });
   });
   ASSERT_EQ(wrote.get_future().wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
 
   std::promise<Bytes> read_value;
   net.post(ProcessId::reader(0), [&] {
-    reader.start_read([&](const registers::ReadResult& r) {
+    reader.read(0, [&](const registers::ReadResult& r) {
       read_value.set_value(r.value);
     });
   });
@@ -466,8 +466,9 @@ TEST(TcpNetworkTest, BcsrRegisterOverRealSockets) {
         ProcessId::server(i), cfg, &net, initial[i]));
     net.add_process(ProcessId::server(i), servers.back().get());
   }
-  registers::BcsrWriter writer(ProcessId::writer(0), cfg, &net);
-  registers::BcsrReader reader(ProcessId::reader(0), cfg, &net);
+  const registers::ClientOptions bcsr{registers::ProtocolVariant::kBcsr};
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &net, bcsr);
+  registers::RegisterClient reader(ProcessId::reader(0), cfg, &net, bcsr);
   net.add_process(ProcessId::writer(0), &writer);
   net.add_process(ProcessId::reader(0), &reader);
   net.start();
@@ -477,16 +478,16 @@ TEST(TcpNetworkTest, BcsrRegisterOverRealSockets) {
 
   std::promise<void> wrote;
   net.post(ProcessId::writer(0), [&] {
-    writer.start_write(payload,
-                       [&](const registers::WriteResult&) { wrote.set_value(); });
+    writer.write(0, payload,
+                 [&](const registers::WriteResult&) { wrote.set_value(); });
   });
   ASSERT_EQ(wrote.get_future().wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
 
   std::promise<Bytes> got;
   net.post(ProcessId::reader(0), [&] {
-    reader.start_read(
-        [&](const registers::ReadResult& r) { got.set_value(r.value); });
+    reader.read(0,
+                [&](const registers::ReadResult& r) { got.set_value(r.value); });
   });
   auto fut = got.get_future();
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(5)), std::future_status::ready);

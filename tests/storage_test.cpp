@@ -248,14 +248,14 @@ TEST(PersistentServerTest, RecoveryKeepsWitnessGuarantee) {
   for (uint32_t i = 0; i < cfg.n; ++i) {
     sim.add_process(ProcessId::server(i), servers[i].get());
   }
-  registers::BsrWriter writer(ProcessId::writer(0), cfg, &sim);
-  registers::BsrReader reader(ProcessId::reader(0), cfg, &sim);
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &sim);
+  registers::RegisterClient reader(ProcessId::reader(0), cfg, &sim);
   sim.add_process(ProcessId::writer(0), &writer);
   sim.add_process(ProcessId::reader(0), &reader);
 
   bool done = false;
-  writer.start_write(Bytes{'d', 'u', 'r'},
-                     [&](const registers::WriteResult&) { done = true; });
+  writer.write(0, Bytes{'d', 'u', 'r'},
+               [&](const registers::WriteResult&) { done = true; });
   ASSERT_TRUE(sim.run_until([&] { return done; }));
   sim.run_until_idle();
   (void)persistent_raw;
@@ -267,7 +267,7 @@ TEST(PersistentServerTest, RecoveryKeepsWitnessGuarantee) {
 
   done = false;
   Bytes got;
-  reader.start_read([&](const registers::ReadResult& r) {
+  reader.read(0, [&](const registers::ReadResult& r) {
     got = r.value;
     done = true;
   });
@@ -307,8 +307,8 @@ class CatchUpFixture : public ::testing::Test {
 
   void write(Bytes v) {
     bool done = false;
-    writer_.start_write(std::move(v),
-                        [&](const registers::WriteResult&) { done = true; });
+    writer_.write(0, std::move(v),
+                  [&](const registers::WriteResult&) { done = true; });
     ASSERT_TRUE(sim_.run_until([&] { return done; }));
     sim_.run_until_idle();
   }
@@ -333,7 +333,7 @@ class CatchUpFixture : public ::testing::Test {
   sim::Simulator sim_;
   registers::SystemConfig cfg_;
   std::vector<std::unique_ptr<net::IProcess>> peers_;
-  registers::BsrWriter writer_;
+  registers::RegisterClient writer_;
   ReplyProbe probe_;
 };
 

@@ -82,9 +82,6 @@ const std::regex kQuorumArithmetic(
 // `Mutex name ACQUIRED_BEFORE(a, b);` / `std::mutex name ACQUIRED_AFTER(a);`
 const std::regex kOrderedMutex(
     R"((?:std\s*::\s*(?:shared_)?mutex|Mutex)\s+([A-Za-z_]\w*)\s+ACQUIRED_(BEFORE|AFTER)\s*\(([^)]*)\))");
-// `x.busy()` / `p->busy()` -- the single-operation guard of the low-level
-// protocol clients.
-const std::regex kBusyCall(R"((\.|->)\s*busy\s*\(\s*\))");
 // A Tag-keyed std::map in the register layer is almost always a per-object
 // value log -- the unbounded-node-count layout the compact store
 // (object_store.h) replaced. Tag-keyed maps bounded by the response set of
@@ -756,13 +753,6 @@ void line_rules(const std::string& rel_path, const Prepared& p,
                  " companion field; write down what the lock protects");
       }
     }
-    if (!starts_with(rel_path, "src/registers/") &&
-        std::regex_search(code, kBusyCall)) {
-      flag(i, "legacy-single-op",
-           "busy() gates the low-level one-operation-per-client classes; "
-           "use RegisterClient (src/registers/client.h), which multiplexes "
-           "concurrent operations instead of serializing on busy()");
-    }
     if (rel_path != "src/registers/config.h" &&
         std::regex_search(code, kResilienceLiteral)) {
       flag(i, "resilience-literal",
@@ -1337,7 +1327,6 @@ constexpr RuleMeta kRuleCatalog[] = {
     {"unguarded-mutex", "mutex member without a GUARDED_BY companion"},
     {"resilience-literal", "resilience bound arithmetic outside config.h"},
     {"lock-order", "nested acquisition inverts a declared lock order"},
-    {"legacy-single-op", "busy() call outside the low-level register clients"},
     {"blocking-in-lock",
      "call chain from a MutexLock scope to a blocking syscall"},
     {"lock-cycle", "cycle in the global declared+observed lock-order graph"},

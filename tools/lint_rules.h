@@ -41,11 +41,6 @@
 //                       declared ACQUIRED_BEFORE / ACQUIRED_AFTER edge.
 //                       Direct inversions only; transitive consequences of
 //                       the declared+observed graph are `lock-cycle`'s job.
-//   legacy-single-op    a `.busy()` / `->busy()` call outside
-//                       src/registers/ -- busy() is the low-level clients'
-//                       one-operation-at-a-time guard; new code should go
-//                       through RegisterClient, whose multiplexer runs any
-//                       number of operations concurrently (client.h).
 //   blocking-in-lock    a call chain from a MutexLock scope to a blocking
 //                       syscall (`::sendmsg`, `::recv`, `::connect`, ...)
 //                       or framed-I/O helper (write_all/read_exact).
