@@ -23,10 +23,12 @@
 //   * YCSB-B/zipfian ops/s on the compact store is no worse than the legacy
 //     store (with 15% measurement slack).
 //
-// Throughput drives the stores through the same per-op sequence the server
-// uses uncoalesced -- update = apply + publish, read = newest log entry,
-// RMW = read then apply -- so a regression in either the hash path or the
-// seqlock publish path lands in these numbers.
+// Throughput drives the compact store through the same per-op sequence the
+// server runs -- update = apply, read = newest log entry of the record the
+// flat hash finds, RMW = read then apply -- so a regression in the hash,
+// log or slab path lands in these numbers. (The server also takes its
+// shard's uncontended mutex around each access; that is not measured
+// here.)
 #if defined(__GLIBC__) || defined(__linux__)
 #include <malloc.h>
 #endif
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/seqlock.h"
 #include "common/types.h"
 #include "registers/object_store.h"
 #include "workload.h"
@@ -73,11 +74,10 @@ size_t heap_in_use() {
 // compact store: the point of keeping it here (and nowhere else) is that
 // the "before" column of docs/PERF.md stays measurable at any commit.
 
-/// The common::Seqlock of the pre-compaction era, which still carried
-/// alignas(64) on each slot: with the 272-byte inline entry that rounds the
-/// pair of slots to 640 bytes and the whole lock to 704 -- padding the
-/// current Seqlock no longer pays. Same publish protocol, so the measured
-/// publish cost is the old one too.
+/// The common::Seqlock of the pre-compaction era (since deleted), which
+/// carried alignas(64) on each slot: with the 272-byte inline entry that
+/// rounds the pair of slots to 640 bytes and the whole lock to 704. Same
+/// publish protocol, so the measured publish cost is the old one too.
 template <typename T>
 class LegacySeqlock {
  public:
@@ -238,9 +238,9 @@ class LegacyStore {
   std::map<uint32_t, ObjectState> objects_;
 };
 
-/// Uniform driving surface over the two stores. Updates run the full
-/// uncoalesced server sequence (apply + seqlock publish); reads return the
-/// newest log entry, folded into `sink` so the loop cannot be elided.
+/// Uniform driving surface over the two stores. Updates run the store's
+/// whole write path; reads return the newest log entry, folded into `sink`
+/// so the loop cannot be elided.
 struct CompactAdapter {
   static constexpr const char* kName = "compact";
 
@@ -253,8 +253,7 @@ struct CompactAdapter {
 
   void put(uint32_t key, BytesView value) {
     const Tag tag{++tag_seq, ProcessId::writer(0)};
-    const auto res = store.apply(key, tag, value);
-    if (res.added) store.publish(*res.rec);
+    store.apply(key, tag, value);
   }
   uint64_t read(uint32_t key) const {
     const auto* rec = store.find(key);
@@ -384,8 +383,8 @@ const Row* find_row(const std::vector<Row>& rows, const char* store,
 int run(const BenchArgs& args, size_t keys) {
   const size_t ops = args.quick ? 250'000 : 2'000'000;
   // The headline grid: footprint at two value sizes (16 B rides inline in
-  // both the log entry and the seqlock slot; 64 B forces the slab and the
-  // oversize publish path), throughput mixes at the headline size.
+  // the log entry; 64 B forces a slab block), throughput mixes at the
+  // headline size.
   const std::vector<MixPoint> mixes{{&kYcsbB, KeyDist::kZipfian},
                                     {&kYcsbB, KeyDist::kUniform},
                                     {&kYcsbC, KeyDist::kZipfian},

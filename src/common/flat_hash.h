@@ -19,9 +19,10 @@
 //     lazy reclamation.
 //   * Iteration order is unspecified (a control-array scan). Callers that
 //     need determinism sort, as they already did for std::map-free walks.
-//   * NOT thread-safe, and rehashing moves value objects. Anything that
-//     needs pointer stability (NewestCache with its seqlock slots) lives
-//     behind an index stored here, never inside a slot -- see
+//   * NOT thread-safe, and rehashing moves value objects, so a pointer
+//     into a slot dies at the next insert. The object store keeps its
+//     records in a pool of its own and stores only 4-byte record indexes
+//     here, which keeps each slot at 8 bytes -- see
 //     registers/object_store.h.
 #pragma once
 

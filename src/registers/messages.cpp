@@ -45,7 +45,6 @@ Bytes RegisterMessage::encode() const {
   // payload bytes.
   size_t total = 13 + 13 + 4 * 4 + 8 + value.size();
   for (const auto& tv : history) total += 17 + tv.value.size();
-  for (const auto& [t, v] : history_views) total += 17 + v.size();
   total += 13 * tags.size() + 4 * objects.size();
 
   Serializer s;
@@ -55,16 +54,10 @@ Bytes RegisterMessage::encode() const {
   s.put_u32(object);
   s.put_tag(tag);
   s.put_bytes(value);
-  // Owned and borrowed history entries share one wire count; the receiver
-  // cannot tell (nor care) which representation the sender held.
-  const size_t owned = history.size();
-  s.put_u32(static_cast<uint32_t>(owned + history_views.size()));
-  for (size_t i = 0; i < owned + history_views.size(); ++i) {
-    const Tag& t = i < owned ? history[i].tag : history_views[i - owned].first;
-    const BytesView v = i < owned ? BytesView(history[i].value)
-                                  : history_views[i - owned].second;
-    s.put_tag(t);
-    s.put_bytes(v);
+  s.put_u32(static_cast<uint32_t>(history.size()));
+  for (const auto& tv : history) {
+    s.put_tag(tv.tag);
+    s.put_bytes(tv.value);
   }
   s.put_u32(static_cast<uint32_t>(tags.size()));
   for (const auto& t : tags) s.put_tag(t);

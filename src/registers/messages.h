@@ -68,13 +68,6 @@ struct RegisterMessage {
   Tag tag{};
   Bytes value;
   std::vector<TaggedValue> history;  // kHistoryResp; kDataBatchResp pairs
-  /// Encode-only sibling of `history`: borrowed (tag, value-view) pairs
-  /// serialized after `history` under one combined count, so a server can
-  /// answer QUERY-HISTORY straight out of its value slab without copying
-  /// every value into a TaggedValue first. parse() never fills this (an
-  /// inbound message's views would dangle once the payload buffer dies);
-  /// the views must outlive encode() only.
-  std::vector<std::pair<Tag, BytesView>> history_views;
   std::vector<Tag> tags;             // kTagHistoryResp
   std::vector<uint32_t> objects;     // kQueryDataBatch / kDataBatchResp;
                                      // member server indices (kViewAnnounce)

@@ -4,90 +4,6 @@
 
 namespace bftreg::registers {
 
-// --- NewestCache ------------------------------------------------------------
-
-void NewestCache::publish(const Tag& tag, BytesView value) {
-  InlineEntry entry;
-  entry.tag_num = tag.num;
-  entry.writer_index = tag.writer.index;
-  entry.writer_role = static_cast<uint8_t>(tag.writer.role);
-  if (value.size() <= kInlineValueCap) {
-    entry.oversize = 0;
-    entry.len = static_cast<uint16_t>(value.size());
-    if (!value.empty()) std::memcpy(entry.data, value.data(), value.size());
-  } else {
-    // Pointer first, sentinel second: a reader that observes the sentinel
-    // through the seqlock's release/acquire pair also observes this store.
-    oversize_.store(std::make_shared<const TaggedValue>(
-                        TaggedValue{tag, Bytes(value.begin(), value.end())}),
-                    std::memory_order_release);
-    entry.oversize = 1;
-  }
-  inline_.publish(entry);
-}
-
-bool NewestCache::read(Tag* tag, Bytes* value) const {
-  for (;;) {
-    InlineEntry entry;
-    if (!inline_.read(&entry)) return false;
-    const Tag snapshot_tag{entry.tag_num,
-                           ProcessId{static_cast<Role>(entry.writer_role),
-                                     entry.writer_index}};
-    if (entry.oversize == 0) {
-      *tag = snapshot_tag;
-      if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
-      return true;
-    }
-    // publish() stores the pointer before the snapshot that refers to it,
-    // so the pointer may already carry a newer pair than our snapshot.
-    // Returning it would not be monotonic: the next read could still see
-    // the older (inline) snapshot that is active until the publish ends.
-    // A tag mismatch means a publish is in flight; read again.
-    const auto pair = oversize_.load(std::memory_order_acquire);
-    if (pair == nullptr) return false;  // unreachable; defensive
-    if (pair->tag != snapshot_tag) continue;
-    *tag = pair->tag;
-    if (value != nullptr) *value = pair->value;
-    return true;
-  }
-}
-
-// --- NewestCacheIndex -------------------------------------------------------
-
-void NewestCacheIndex::insert(uint32_t object, const NewestCache* cache) {
-  if (used_in_last_ == kNodesPerChunk) {
-    node_chunks_.push_back(std::make_unique<Node[]>(kNodesPerChunk));
-    used_in_last_ = 0;
-  }
-  Node* node = &node_chunks_.back()[used_in_last_++];
-  node->object = object;
-  node->cache = cache;
-  std::atomic<Node*>& head = heads_[object & (kBuckets - 1)];
-  node->next = head.load(std::memory_order_relaxed);
-  // Publication point: the release pairs with find()'s acquire, ordering
-  // the node's fields (and everything reachable through them) before any
-  // reader can traverse to it.
-  head.store(node, std::memory_order_release);
-}
-
-const NewestCache* NewestCacheIndex::find(uint32_t object) const {
-  const std::atomic<Node*>& head = heads_[object & (kBuckets - 1)];
-  for (const Node* n = head.load(std::memory_order_acquire); n != nullptr;
-       n = n->next) {
-    if (n->object == object) return n->cache;
-  }
-  return nullptr;
-}
-
-void NewestCacheIndex::collect(std::vector<uint32_t>* out) const {
-  for (const std::atomic<Node*>& head : heads_) {
-    for (const Node* n = head.load(std::memory_order_acquire); n != nullptr;
-         n = n->next) {
-      out->push_back(n->object);
-    }
-  }
-}
-
 // --- ObjectLog --------------------------------------------------------------
 
 namespace {
@@ -252,11 +168,6 @@ CompactObjectStore::materialize(uint32_t object) {
   ObjectRec& rec = rec_at(idx);
   rec.object = object;
   rec.log.insert(Tag::initial(), make_ref(initial_), arena_);
-  rec.newest.publish(Tag::initial(), initial_);
-  // Index entry last: a cross-shard reader that finds the cache sees it
-  // already holding the {t0, initial} snapshot. Records never move, so the
-  // pointer survives future inserts.
-  index_.insert(object, &rec.newest);
   return {&rec, initial_.size()};
 }
 
@@ -265,7 +176,6 @@ CompactObjectStore::ApplyResult CompactObjectStore::apply(uint32_t object,
                                                           BytesView value) {
   ApplyResult out;
   auto [rec, init_bytes] = materialize(object);
-  out.rec = rec;
   out.bytes_delta = static_cast<long long>(init_bytes);
 
   switch (policy_) {
@@ -292,11 +202,6 @@ CompactObjectStore::ApplyResult CompactObjectStore::apply(uint32_t object,
   return out;
 }
 
-void CompactObjectStore::publish(ObjectRec& rec) {
-  const LogEntry& newest = rec.log.newest();
-  rec.newest.publish(newest.tag, newest.val.view());
-}
-
 size_t CompactObjectStore::walk_value_bytes() const {
   size_t total = 0;
   for_each([&total](const ObjectRec& rec) { total += rec.log.value_bytes(); });
@@ -305,8 +210,7 @@ size_t CompactObjectStore::walk_value_bytes() const {
 
 size_t CompactObjectStore::resident_bytes() const {
   return chunks_.size() * kRecsPerChunk * sizeof(ObjectRec) +
-         map_.allocated_bytes() + arena_.allocated_bytes() +
-         index_.allocated_bytes();
+         map_.allocated_bytes() + arena_.allocated_bytes();
 }
 
 }  // namespace bftreg::registers

@@ -8,10 +8,9 @@
 // hundred stray bytes per object. Here the same state is:
 //
 //   * CompactObjectStore: an open-addressing FlatHashMap from object id to
-//     a slot in a chunked, never-moving pool of ObjectRec. Records must not
-//     move: each embeds the object's NewestCache (seqlock + atomics), whose
-//     address is published to the lock-free NewestCacheIndex for cross-
-//     shard readers.
+//     a slot in a chunked pool of 32-byte ObjectRecs (the log plus the
+//     object id). The pool keeps the table's slots at 8 bytes; a table of
+//     whole records would pay record size for every empty slot too.
 //   * ObjectLog: the list L as a compact sorted array with front slack -- a
 //     small-vector ring. Entries are 40-byte PODs (16-byte Tag + 24-byte
 //     ValueRef) kept in ascending tag order; appends of growing tags (the
@@ -22,15 +21,12 @@
 //     longer values are blocks in the shard's SlabArena (no per-value
 //     malloc, no per-block header).
 //
-// One store per shard, touched only by the shard's owner thread -- except
-// the NewestCache/NewestCacheIndex publish path, which keeps exactly the
-// lock-free contract it had in server.h (single-writer publish, any-thread
-// read). The split between apply() and publish() is what enables write
-// coalescing: a mailbox batch applies every PUT-DATA to the logs first and
-// publishes each touched object's newest pair once at the end.
+// Not thread-safe. The newest pair of L is read in place (log.newest()),
+// so a store has no second copy of it to keep in step. A server whose
+// other threads read a shard's objects guards that shard's whole store
+// with one mutex (registers/server.h).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -40,99 +36,12 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "common/seqlock.h"
 #include "common/slab.h"
 #include "common/types.h"
 #include "registers/config.h"
 #include "registers/messages.h"
 
 namespace bftreg::registers {
-
-/// Lock-free published copy of an object's newest (tag, value) pair.
-/// Written only by the object's owner shard; readable from any thread.
-/// Values up to kInlineValueCap bytes live inside the seqlock snapshot;
-/// larger ones are swapped through an atomic shared_ptr whose pointee is
-/// immutable and self-consistent (tag and value travel together).
-class NewestCache {
- public:
-  /// Largest value carried inline in the seqlock snapshot. Sized so one
-  /// seqlock slot (sequence + version + header + data) is exactly a cache
-  /// line: small-register control values fit; bulk values take the
-  /// shared_ptr path. (The old 256-byte cap made every object pay ~640
-  /// bytes of slots; at a million objects the cap IS the footprint.)
-  static constexpr size_t kInlineValueCap = 32;
-
-  /// Owner shard only. Publishes (tag, value) as the newest pair.
-  void publish(const Tag& tag, BytesView value);
-
-  /// Any thread. Returns false only before the first publish. `value` may
-  /// be null when the caller wants just the tag (QUERY-TAG).
-  bool read(Tag* tag, Bytes* value) const;
-
- private:
-  struct InlineEntry {
-    uint64_t tag_num{0};
-    uint32_t writer_index{0};
-    uint8_t writer_role{0};
-    /// 1: the pair lives in oversize_ (len/data unused).
-    uint8_t oversize{0};
-    uint16_t len{0};
-    uint8_t data[kInlineValueCap]{};
-  };
-
-  common::Seqlock<InlineEntry> inline_;
-  /// Published *before* the inline sentinel that points at it, so a reader
-  /// that sees oversize == 1 always finds the pointer (release/acquire via
-  /// the seqlock's sequence) -- possibly a newer one than its snapshot
-  /// names, which read() detects by tag and retries.
-  std::atomic<std::shared_ptr<const TaggedValue>> oversize_;
-};
-
-/// Append-only object -> NewestCache* index, written by one shard thread
-/// and probed lock-free by any thread (QUERY-DATA-BATCH reads objects owned
-/// by other shards through this). Nodes are immutable once the bucket-head
-/// release store publishes them, and objects are never removed, so readers
-/// traverse plain `next` pointers with no further synchronization.
-class NewestCacheIndex {
- public:
-  NewestCacheIndex() = default;
-  NewestCacheIndex(const NewestCacheIndex&) = delete;
-  NewestCacheIndex& operator=(const NewestCacheIndex&) = delete;
-
-  /// Owner shard only; `object` must not already be present.
-  void insert(uint32_t object, const NewestCache* cache);
-
-  /// Any thread; nullptr when the object was never materialized.
-  const NewestCache* find(uint32_t object) const;
-
-  /// Any thread; appends every indexed object id to `out` (unsorted).
-  /// Traverses the same immutable nodes as find(), so it observes at least
-  /// everything published before the call.
-  void collect(std::vector<uint32_t>* out) const;
-
-  /// Bytes of node-pool chunks (writer thread; resident accounting).
-  size_t allocated_bytes() const {
-    return node_chunks_.size() * kNodesPerChunk * sizeof(Node);
-  }
-
- private:
-  static constexpr size_t kBuckets = 64;  // power of two
-
-  struct Node {
-    uint32_t object;
-    const NewestCache* cache;
-    Node* next;
-  };
-
-  std::atomic<Node*> heads_[kBuckets]{};
-  /// Owns the nodes, pooled in chunks so a million index entries cost a
-  /// million times 24 bytes, not a million mallocs. Chunks never move or
-  /// shrink (published nodes are reachable lock-free); touched only by the
-  /// writing shard thread.
-  static constexpr size_t kNodesPerChunk = 256;
-  std::vector<std::unique_ptr<Node[]>> node_chunks_;
-  size_t used_in_last_{kNodesPerChunk};
-};
 
 /// Value bytes by reference: inline up to kInlineCap, else a slab block.
 /// POD on purpose -- log entries are moved with memmove. Lifecycle is
@@ -200,25 +109,17 @@ class ObjectLog {
   uint32_t cap_{0};
 };
 
-/// Everything one shard stores about its objects. Single-owner-thread,
-/// except the embedded NewestCache/NewestCacheIndex publish/read paths.
+/// Everything one shard stores about its objects. Single-threaded.
 class CompactObjectStore {
  public:
+  /// 32 bytes: the 24-byte log and the object id.
   struct ObjectRec {
-    /// 160 bytes: two 64-byte seqlock slots + active/version words + the
-    /// oversize pointer. With the 24-byte log and the id the record is 192
-    /// bytes -- the figure docs/PERF.md budgets per object.
-    NewestCache newest;
     ObjectLog log;
     uint32_t object{0};
-
-    ObjectRec() = default;
-    ObjectRec(const ObjectRec&) = delete;
-    ObjectRec& operator=(const ObjectRec&) = delete;
   };
+  static_assert(sizeof(ObjectRec) <= 32, "docs/PERF.md budgets 32 B/record");
 
   struct ApplyResult {
-    ObjectRec* rec{nullptr};
     bool added{false};
     /// Value bytes added minus bytes GC'd (the caller maintains whatever
     /// aggregate counter its introspection API promises).
@@ -232,8 +133,8 @@ class CompactObjectStore {
   CompactObjectStore& operator=(const CompactObjectStore&) = delete;
 
   /// Creates (if needed) `object`'s record, seeding the log with
-  /// {t0, initial} and publishing that snapshot + the index entry on first
-  /// touch. Returns (record, value bytes added: initial size or 0).
+  /// {t0, initial} on first touch. Returns (record, value bytes added:
+  /// initial size or 0).
   std::pair<ObjectRec*, size_t> materialize(uint32_t object);
 
   /// Read-only lookup; never inserts (a client querying random ids must
@@ -248,14 +149,9 @@ class CompactObjectStore {
   }
 
   /// Inserts (tag, value) per the store policy, then applies max_history
-  /// GC. Does NOT publish the newest pair -- callers follow with publish()
-  /// (immediately, or once per mailbox batch when coalescing).
+  /// GC.
   ApplyResult apply(uint32_t object, const Tag& tag, BytesView value);
 
-  /// Publishes rec's current newest pair through its seqlock cache.
-  void publish(ObjectRec& rec);
-
-  const NewestCacheIndex& index() const { return index_; }
   size_t size() const { return count_; }
 
   /// fn(const ObjectRec&) for every record, unspecified order.
@@ -279,7 +175,7 @@ class CompactObjectStore {
   const Bytes& initial_value() const { return initial_; }
 
  private:
-  static constexpr size_t kRecsPerChunk = 256;  // 256 * 192B = 48 KiB
+  static constexpr size_t kRecsPerChunk = 256;  // 256 * 32 B = 8 KiB
 
   ObjectRec& rec_at(uint32_t idx) {
     return chunks_[idx / kRecsPerChunk][idx % kRecsPerChunk];
@@ -299,7 +195,6 @@ class CompactObjectStore {
   size_t used_in_last_{kRecsPerChunk};
   size_t count_{0};
   common::SlabArena arena_;
-  NewestCacheIndex index_;
 };
 
 }  // namespace bftreg::registers

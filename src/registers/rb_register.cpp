@@ -1,5 +1,6 @@
 #include "registers/rb_register.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -128,8 +129,6 @@ void RbServer::on_rb_deliver(const Bytes& blob) {
   const auto res = store_.apply(b->object, b->tag, b->value);
   stored_bytes_ = static_cast<size_t>(static_cast<long long>(stored_bytes_) +
                                       res.bytes_delta);
-  const bool added = res.added;
-  if (added) store_.publish(*res.rec);
 
   RegisterMessage ack;
   ack.type = MsgType::kAck;
@@ -138,23 +137,23 @@ void RbServer::on_rb_deliver(const Bytes& blob) {
   ack.tag = b->tag;
   reply(b->writer, ack);
 
-  if (added) {
+  const auto subs = subscribers_.find(b->object);
+  if (res.added && subs != subscribers_.end()) {
     RegisterMessage update;
     update.type = MsgType::kDataUpdate;
     update.object = b->object;
     update.tag = b->tag;
     update.value = b->value;
-    for (const auto& [key, object] : subscribers_) {
-      if (object != b->object) continue;
-      update.op_id = key.second;
-      reply(key.first, update);
+    for (const auto& [reader, op_id] : subs->second) {
+      update.op_id = op_id;
+      reply(reader, update);
     }
   }
 }
 
 void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
-  if (done_before_query_.erase({from, msg.op_id}) == 0) {
-    subscribers_[{from, msg.op_id}] = msg.object;
+  if (!read_finished(from, msg.op_id)) {
+    subscribers_[msg.object].insert({from, msg.op_id});
   }
   RegisterMessage resp;
   resp.type = MsgType::kDataResp;
@@ -178,10 +177,30 @@ void RbServer::handle_read_done(const ProcessId& from,
                                 const RegisterMessage& msg) {
   // Exact match on the op id, as in RegisterServer::handle_read_done: a
   // client's concurrent reads have unrelated (namespaced) ids, and each
-  // READ-DONE ends only its own read's subscription.
-  if (subscribers_.erase({from, msg.op_id}) == 0) {
-    done_before_query_.insert({from, msg.op_id});
+  // READ-DONE ends only its own read's subscription. READ-DONE names the
+  // read's object, which is where the subscription is filed.
+  if (const auto subs = subscribers_.find(msg.object);
+      subs != subscribers_.end()) {
+    subs->second.erase({from, msg.op_id});
+    if (subs->second.empty()) subscribers_.erase(subs);
   }
+  if (read_finished(from, msg.op_id)) return;
+  std::deque<uint64_t>& done = finished_[from];
+  if (done.size() == kFinishedReadsPerReader) done.pop_front();
+  done.push_back(msg.op_id);
+}
+
+bool RbServer::read_finished(const ProcessId& reader, uint64_t op_id) const {
+  const auto it = finished_.find(reader);
+  return it != finished_.end() &&
+         std::find(it->second.begin(), it->second.end(), op_id) !=
+             it->second.end();
+}
+
+size_t RbServer::finished_reads() const {
+  size_t total = 0;
+  for (const auto& [reader, done] : finished_) total += done.size();
+  return total;
 }
 
 }  // namespace bftreg::registers

@@ -26,6 +26,7 @@
 // their paper.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -41,6 +42,10 @@ namespace bftreg::registers {
 
 class RbServer final : public net::IProcess {
  public:
+  /// How many finished read op ids the server remembers per reader (see
+  /// finished_ below).
+  static constexpr size_t kFinishedReadsPerReader = 256;
+
   RbServer(ProcessId self, SystemConfig config, net::Transport* transport,
            Bytes initial);
 
@@ -54,12 +59,16 @@ class RbServer final : public net::IProcess {
   /// the BSR server reports.
   size_t stored_bytes() const { return stored_bytes_; }
   const broadcast::BrachaStats& bracha_stats() const { return bracha_->stats(); }
+  /// Finished read op ids remembered, summed over readers.
+  size_t finished_reads() const;
 
  private:
   void handle_put_data(const ProcessId& from, const RegisterMessage& msg);
   void handle_query(const ProcessId& from, const RegisterMessage& msg);
   void handle_read_done(const ProcessId& from, const RegisterMessage& msg);
   void on_rb_deliver(const Bytes& blob);
+  /// True if `op_id` is among `reader`'s remembered finished reads.
+  bool read_finished(const ProcessId& reader, uint64_t op_id) const;
   void reply(const ProcessId& to, const RegisterMessage& msg);
 
   const ProcessId self_;
@@ -76,15 +85,18 @@ class RbServer final : public net::IProcess {
   /// Single delivery shard, so a plain counter suffices.
   size_t stored_bytes_{0};
   using ReadKey = std::pair<ProcessId, uint64_t>;  // (reader, read op id)
-  /// Open read subscriptions -> the object each one reads. Keyed per op, not
-  /// per reader: a client may pipeline several reads, even of one object,
-  /// and each needs its own DATA-UPDATE stream until its own READ-DONE.
-  std::map<ReadKey, uint32_t> subscribers_;
-  /// READ-DONEs that overtook their read's QUERY-DATA (channels reorder).
-  /// The late query is then answered without subscribing -- a subscription
-  /// opened after its READ-DONE would never be closed. Each entry leaves
-  /// when that query lands, which reliable channels guarantee.
-  std::set<ReadKey> done_before_query_;
+  /// Open read subscriptions per object, so a delivery visits only its own
+  /// object's reads, in (reader, op id) order. Keyed per op, not per
+  /// reader: a client may pipeline several reads, even of one object, and
+  /// each needs its own DATA-UPDATE stream until its own READ-DONE.
+  std::map<uint32_t, std::set<ReadKey>> subscribers_;
+  /// Per reader, the op ids of its last kFinishedReadsPerReader READ-DONEs,
+  /// oldest first. A QUERY-DATA for one of them -- overtaken by its
+  /// READ-DONE (channels reorder) or resent after it -- is answered without
+  /// subscribing: no later READ-DONE would close that subscription. Op ids
+  /// never repeat across operations, so a new read is never taken for a
+  /// finished one, and the cap bounds what a reader can make us remember.
+  std::map<ProcessId, std::deque<uint64_t>> finished_;
 };
 
 }  // namespace bftreg::registers

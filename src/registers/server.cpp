@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <tuple>
 
 #include "common/log.h"
 
@@ -21,9 +21,10 @@ RegisterServer::RegisterServer(ProcessId self, SystemConfig config,
                                               config_.max_history));
   }
   // The default register exists from the start.
-  const auto [rec, seeded] = shard_for(0).store.materialize(0);
-  (void)rec;
-  stored_bytes_.fetch_add(seeded, std::memory_order_relaxed);
+  Shard& home = shard_for(0);
+  MutexLock lock(home.mu);
+  stored_bytes_.fetch_add(home.store.materialize(0).second,
+                          std::memory_order_relaxed);
 }
 
 uint32_t RegisterServer::delivery_shards() const {
@@ -61,7 +62,9 @@ const RegisterServer::Shard& RegisterServer::shard_for(uint32_t object) const {
 
 std::vector<TaggedValue> RegisterServer::store(uint32_t object) const {
   std::vector<TaggedValue> out;
-  const auto* rec = shard_for(object).store.find(object);
+  const Shard& shard = shard_for(object);
+  MutexLock lock(shard.mu);
+  const auto* rec = shard.store.find(object);
   if (rec == nullptr) {
     out.push_back(TaggedValue{Tag::initial(), initial_});
     return out;
@@ -75,16 +78,20 @@ std::vector<TaggedValue> RegisterServer::store(uint32_t object) const {
 }
 
 std::pair<Tag, Bytes> RegisterServer::newest_entry(uint32_t object) const {
-  const auto* rec = shard_for(object).store.find(object);
+  const Shard& shard = shard_for(object);
+  MutexLock lock(shard.mu);
+  const auto* rec = shard.store.find(object);
   if (rec == nullptr) return {Tag::initial(), initial_};
   const LogEntry& newest = rec->log.newest();
   const BytesView v = newest.val.view();
   return {newest.tag, Bytes(v.begin(), v.end())};
 }
 
-bool RegisterServer::read_newest(uint32_t object, Tag* tag, Bytes* value) const {
-  const NewestCache* cache = shard_for(object).store.index().find(object);
-  return cache != nullptr && cache->read(tag, value);
+Tag RegisterServer::max_tag(uint32_t object) const {
+  const Shard& shard = shard_for(object);
+  MutexLock lock(shard.mu);
+  const auto* rec = shard.store.find(object);
+  return rec == nullptr ? Tag::initial() : rec->log.newest().tag;
 }
 
 size_t RegisterServer::stored_bytes() const {
@@ -93,7 +100,10 @@ size_t RegisterServer::stored_bytes() const {
   // Quiescent callers only (see header): cross-check the incremental
   // counter against the full walk it replaced.
   size_t walked = 0;
-  for (const auto& shard : shards_) walked += shard->store.walk_value_bytes();
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    walked += shard->store.walk_value_bytes();
+  }
   assert(walked == total && "incremental stored_bytes diverged from walk");
 #endif
   return total;
@@ -101,7 +111,10 @@ size_t RegisterServer::stored_bytes() const {
 
 size_t RegisterServer::objects_known() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->store.size();
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    total += shard->store.size();
+  }
   return total;
 }
 
@@ -109,6 +122,7 @@ std::vector<uint32_t> RegisterServer::object_ids() const {
   std::vector<uint32_t> out;
   out.reserve(objects_known());
   for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
     shard->store.for_each([&out](const CompactObjectStore::ObjectRec& rec) {
       out.push_back(rec.object);
     });
@@ -156,46 +170,17 @@ void RegisterServer::handle_query_objects(const ProcessId& from,
   resp.op_id = req.op_id;
   resp.objects.reserve(std::min(kMaxObjects, objects_known()));
   for (const auto& shard : shards_) {
-    shard->store.index().collect(&resp.objects);
+    {
+      MutexLock lock(shard->mu);
+      shard->store.for_each([&resp](const CompactObjectStore::ObjectRec& rec) {
+        resp.objects.push_back(rec.object);
+      });
+    }
     if (resp.objects.size() >= kMaxObjects) break;
   }
   std::sort(resp.objects.begin(), resp.objects.end());
   if (resp.objects.size() > kMaxObjects) resp.objects.resize(kMaxObjects);
   reply(from, resp);
-}
-
-void RegisterServer::on_batch_begin(uint32_t shard) {
-  if (shard >= shards_.size()) return;
-  shards_[shard]->in_batch = true;
-}
-
-void RegisterServer::on_batch_end(uint32_t shard) {
-  if (shard >= shards_.size()) return;
-  Shard& s = *shards_[shard];
-  flush_batch(s);
-  s.in_batch = false;
-  s.batch_read_cache.clear();
-}
-
-void RegisterServer::flush_batch(Shard& shard) {
-  if (!shard.pending_dirty.empty()) {
-    // One publish per touched object, no matter how many puts the batch
-    // applied to it.
-    std::sort(shard.pending_dirty.begin(), shard.pending_dirty.end());
-    shard.pending_dirty.erase(
-        std::unique(shard.pending_dirty.begin(), shard.pending_dirty.end()),
-        shard.pending_dirty.end());
-    for (const uint32_t object : shard.pending_dirty) {
-      if (auto* rec = shard.store.find(object)) shard.store.publish(*rec);
-    }
-    shard.pending_dirty.clear();
-  }
-  if (!shard.pending_out.empty()) {
-    // Replies only after every publish above: an ACK must imply the put is
-    // visible to cross-shard readers (Fig. 3's ack => stored contract).
-    for (auto& [to, msg] : shard.pending_out) reply(to, msg);
-    shard.pending_out.clear();
-  }
 }
 
 void RegisterServer::on_message(const net::Envelope& env) {
@@ -208,12 +193,6 @@ void RegisterServer::on_message(const net::Envelope& env) {
   // Fold the piggybacked epoch in before dispatch: even requests carry the
   // sender's view, so a server that missed an announce converges anyway.
   observe_epoch(msg->epoch);
-  if (msg->type != MsgType::kPutData) {
-    // Any non-put for this shard sees the batch's puts fully published
-    // first, so same-shard reads never observe the coalescing window.
-    Shard& shard = shard_for(msg->object);
-    if (shard.in_batch) flush_batch(shard);
-  }
   switch (msg->type) {
     case MsgType::kQueryTag:
       handle_query_tag(env.from, *msg);
@@ -258,16 +237,17 @@ void RegisterServer::handle_query_tag(const ProcessId& from,
   resp.type = MsgType::kTagResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
-  // Seqlock fast path: the newest tag comes from the published snapshot,
-  // not the shard's table (identical answer -- the owner publishes on every
-  // applied put and this handler runs on the owner shard).
-  if (!read_newest(req.object, &resp.tag, nullptr)) resp.tag = Tag::initial();
+  resp.tag = max_tag(req.object);
   reply(from, resp);
 }
 
 bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
   Shard& shard = shard_for(object);
-  const auto res = shard.store.apply(object, tag, value);
+  CompactObjectStore::ApplyResult res;
+  {
+    MutexLock lock(shard.mu);
+    res = shard.store.apply(object, tag, value);
+  }
   if (res.bytes_delta >= 0) {
     stored_bytes_.fetch_add(static_cast<size_t>(res.bytes_delta),
                             std::memory_order_relaxed);
@@ -277,16 +257,6 @@ bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
   }
   if (!res.added) return false;
   puts_applied_.fetch_add(1, std::memory_order_relaxed);
-
-  // Publish the (possibly unchanged, if an old tag was back-filled) newest
-  // pair; tags only grow, so snapshot versions are tag-monotonic. Inside a
-  // batch the publish is deferred to the flush -- one publish per object
-  // per batch.
-  if (shard.in_batch) {
-    shard.pending_dirty.push_back(object);
-  } else {
-    shard.store.publish(*res.rec);
-  }
 
   // Wake any readers whose two-round get-data asked for this tag. The value
   // comes from the put itself, not a store lookup: GC may already have
@@ -305,11 +275,7 @@ bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
         std::erase(*rev, std::make_pair(object, tag));
         if (rev->empty()) shard.deferred_by_op.erase({reader, op_id});
       }
-      if (shard.in_batch) {
-        shard.pending_out.emplace_back(reader, resp);
-      } else {
-        reply(reader, resp);
-      }
+      reply(reader, resp);
     }
     shard.deferred.erase({object, tag});
   }
@@ -317,7 +283,6 @@ bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
 }
 
 void RegisterServer::handle_put_data(const ProcessId& from, RegisterMessage req) {
-  Shard& shard = shard_for(req.object);
   apply_put(req.object, req.tag, std::move(req.value));
   // Fig. 3: the ACK is sent regardless of whether the entry was new.
   RegisterMessage ack;
@@ -325,12 +290,7 @@ void RegisterServer::handle_put_data(const ProcessId& from, RegisterMessage req)
   ack.op_id = req.op_id;
   ack.object = req.object;
   ack.tag = req.tag;
-  if (shard.in_batch) {
-    // Held until the batch's publishes land (ack => stored visibly).
-    shard.pending_out.emplace_back(from, std::move(ack));
-  } else {
-    reply(from, ack);
-  }
+  reply(from, ack);
 }
 
 void RegisterServer::handle_query_data(const ProcessId& from,
@@ -339,10 +299,7 @@ void RegisterServer::handle_query_data(const ProcessId& from,
   resp.type = MsgType::kDataResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
-  if (!read_newest(req.object, &resp.tag, &resp.value)) {
-    resp.tag = Tag::initial();
-    resp.value = initial_;
-  }
+  std::tie(resp.tag, resp.value) = newest_entry(req.object);
   reply(from, resp);
 }
 
@@ -352,17 +309,7 @@ void RegisterServer::handle_query_history(const ProcessId& from,
   resp.type = MsgType::kHistoryResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
-  if (const auto* rec = shard_for(req.object).store.find(req.object)) {
-    // Borrowed views straight into the log/slab: this handler runs on the
-    // owner shard and encode() happens before we return, so nothing can
-    // mutate the entries underneath the views.
-    resp.history_views.reserve(rec->log.size());
-    for (const LogEntry& e : rec->log) {
-      resp.history_views.emplace_back(e.tag, e.val.view());
-    }
-  } else {
-    resp.history_views.emplace_back(Tag::initial(), BytesView(initial_));
-  }
+  resp.history = store(req.object);
   reply(from, resp);
 }
 
@@ -372,36 +319,42 @@ void RegisterServer::handle_query_tag_history(const ProcessId& from,
   resp.type = MsgType::kTagHistoryResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
-  if (const auto* rec = shard_for(req.object).store.find(req.object)) {
-    resp.tags.reserve(rec->log.size());
-    for (const LogEntry& e : rec->log) resp.tags.push_back(e.tag);
-  } else {
-    resp.tags.push_back(Tag::initial());
+  {
+    const Shard& shard = shard_for(req.object);
+    MutexLock lock(shard.mu);
+    if (const auto* rec = shard.store.find(req.object)) {
+      resp.tags.reserve(rec->log.size());
+      for (const LogEntry& e : rec->log) resp.tags.push_back(e.tag);
+    } else {
+      resp.tags.push_back(Tag::initial());
+    }
   }
   reply(from, resp);
 }
 
 void RegisterServer::handle_query_data_at(const ProcessId& from,
                                           const RegisterMessage& req) {
-  const auto* rec = shard_for(req.object).store.find(req.object);
-  BytesView value;
+  Shard& shard = shard_for(req.object);
+  RegisterMessage resp;
+  resp.op_id = req.op_id;
+  resp.object = req.object;
+  resp.tag = req.tag;
   bool found = false;
-  if (rec != nullptr) {
-    if (const LogEntry* e = rec->log.find(req.tag)) {
-      value = e->val.view();
+  {
+    MutexLock lock(shard.mu);
+    if (const auto* rec = shard.store.find(req.object)) {
+      if (const LogEntry* e = rec->log.find(req.tag)) {
+        const BytesView value = e->val.view();
+        resp.value.assign(value.begin(), value.end());
+        found = true;
+      }
+    } else if (req.tag == Tag::initial()) {
+      resp.value = initial_;  // unknown object reads as its lazy init
       found = true;
     }
-  } else if (req.tag == Tag::initial()) {
-    value = BytesView(initial_);  // unknown object reads as its lazy init
-    found = true;
   }
   if (found) {
-    RegisterMessage resp;
     resp.type = MsgType::kDataAtResp;
-    resp.op_id = req.op_id;
-    resp.object = req.object;
-    resp.tag = req.tag;
-    resp.value.assign(value.begin(), value.end());
     reply(from, resp);
     return;
   }
@@ -410,14 +363,9 @@ void RegisterServer::handle_query_data_at(const ProcessId& from,
   // writer crashed mid-multicast it eventually will; see the liveness note
   // on TwoRoundReadOp in protocol_ops.h). PUT-DATA for this object routes
   // to this shard, so the wake-up in apply_put finds the waiter locally.
-  Shard& shard = shard_for(req.object);
   shard.deferred[{req.object, req.tag}].emplace_back(from, req.op_id);
   shard.deferred_by_op[{from, req.op_id}].emplace_back(req.object, req.tag);
-  RegisterMessage resp;
   resp.type = MsgType::kDataAtMissing;
-  resp.op_id = req.op_id;
-  resp.object = req.object;
-  resp.tag = req.tag;
   reply(from, resp);
 }
 
@@ -429,13 +377,6 @@ void RegisterServer::handle_query_data_batch(const ProcessId& from,
   constexpr size_t kMaxBatch = 4096;
   const size_t count = std::min(req.objects.size(), kMaxBatch);
 
-  // Batch-scoped read memo: when the mailbox batch carries several of these
-  // requests (fan-in from many readers), each distinct object costs one
-  // seqlock read for the whole batch. Only used inside a batch bracket --
-  // the memo is cleared at on_batch_end, bounding staleness to the batch.
-  Shard& home = shard_for(req.object);
-  const bool memo = home.in_batch;
-
   RegisterMessage resp;
   resp.type = MsgType::kDataBatchResp;
   resp.op_id = req.op_id;
@@ -443,20 +384,10 @@ void RegisterServer::handle_query_data_batch(const ProcessId& from,
                       req.objects.begin() + static_cast<long>(count));
   resp.history.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    // The request's objects may be owned by other shards; the seqlock
-    // snapshots are the one structure safe to read across shard threads.
-    if (memo) {
-      if (const TaggedValue* hit = home.batch_read_cache.find(req.objects[i])) {
-        resp.history.push_back(*hit);
-        continue;
-      }
-    }
-    TaggedValue tv;
-    if (!read_newest(req.objects[i], &tv.tag, &tv.value)) {
-      tv = TaggedValue{Tag::initial(), initial_};
-    }
-    if (memo) home.batch_read_cache.try_emplace(req.objects[i], tv);
-    resp.history.push_back(std::move(tv));
+    // The request's objects may be owned by other shards: newest_entry
+    // reads each under its owner's mutex, one mutex at a time.
+    auto [tag, value] = newest_entry(req.objects[i]);
+    resp.history.push_back(TaggedValue{tag, std::move(value)});
   }
   reply(from, resp);
 }

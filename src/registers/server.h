@@ -12,25 +12,21 @@
 // table is split into shards keyed hash(object) % shards, and the server
 // asks its transport for one delivery context per shard (delivery_shards /
 // shard_of below). Every message that names an object routes to the shard
-// that owns it, so each shard's store (a CompactObjectStore -- flat-hash
-// object table, slab-backed logs; see registers/object_store.h) is touched
-// by exactly one mailbox thread and needs no lock. The one cross-shard
-// read -- QUERY-DATA-BATCH, whose object list can span owners -- goes
-// through a per-object seqlock snapshot (common/seqlock.h) of the newest
-// (tag, value) pair, published by the owning shard on every applied put and
-// readable from any thread. QUERY-TAG and QUERY-DATA answer from the same
-// snapshot, keeping the read fast path off the shard's table entirely.
+// that owns it, so PUT-DATA, QUERY-TAG, QUERY-DATA and the history reads
+// run on the owner's thread and answer from its store (a
+// CompactObjectStore -- flat-hash object table, slab-backed logs; see
+// registers/object_store.h), where the newest pair is the last entry of L.
+// Two requests read other shards' objects: QUERY-DATA-BATCH, whose object
+// list can span owners, and QUERY-OBJECTS, which lists every shard's ids.
+// So each shard's store is guarded by that shard's mutex, and every access
+// holds it -- uncontended on the owner's own thread. A handler copies what
+// it needs out of the store, releases the mutex, and only then replies; no
+// thread holds two shard mutexes at once.
 //
-// Write coalescing: transports that drain mailbox batches bracket each
-// batch with on_batch_begin/on_batch_end. Inside a batch, PUT-DATAs apply
-// to the logs immediately but defer the seqlock publish, the deferred-
-// reader wake-ups, and the ACKs until the batch closes -- so N puts to one
-// hot object cost one publish and one reply sweep instead of N. Any
-// non-put message for the shard flushes first, so same-shard reads never
-// observe the pre-publish window; an ACK is never sent before its put's
-// publish, so the writer-visible semantics (Fig. 3: ack => stored) are
-// exactly the unbatched ones. Transports without batch hooks (the
-// simulator) simply never open a batch and get the immediate-publish path.
+// Every reply leaves from the handler that produced it. An ACK follows its
+// put's apply under the owner's mutex, so any later read -- same shard or
+// cross-shard -- sees the put (Fig. 3: ack => stored). The transports'
+// mailbox batch hooks (IProcess::on_batch_begin/end) stay no-ops here.
 //
 // Supported requests:
 //   QUERY-TAG           -> TAG-RESP(max tag in L)              (get-tag-resp)
@@ -51,6 +47,7 @@
 #include <vector>
 
 #include "common/flat_hash.h"
+#include "common/sync.h"
 #include "net/transport.h"
 #include "registers/config.h"
 #include "registers/messages.h"
@@ -79,28 +76,24 @@ class RegisterServer : public net::IProcess {
   /// rejects them.
   uint32_t shard_of(const net::Envelope& env) const override;
 
-  /// Mailbox batch brackets (write coalescing; see file comment). Called by
-  /// batching transports on the shard's delivery thread.
-  void on_batch_begin(uint32_t shard) override;
-  void on_batch_end(uint32_t shard) override;
-
   // --- introspection (tests, storage accounting for E4) -------------------
   // Read-only and never materializing: asking about an object this server
   // has never stored answers as its lazy initialization {(t0, initial)}
-  // without creating state. Callers must be quiescent (no in-flight
-  // deliveries) -- these walk shard-private stores without locks.
+  // without creating state. Each read takes the shard mutexes one at a
+  // time, so any thread may call these.
 
   /// The list L for `object`, materialized into owned pairs (ascending by
   /// tag); {(t0, initial)} if this server has never heard of the object.
   std::vector<TaggedValue> store(uint32_t object = 0) const;
-  Tag max_tag(uint32_t object = 0) const { return newest_entry(object).first; }
+  Tag max_tag(uint32_t object = 0) const;
   Bytes max_value(uint32_t object = 0) const {
     return newest_entry(object).second;
   }
 
   /// Total payload bytes stored across every object (the paper's
   /// storage-cost metric). Maintained incrementally by apply_put; debug
-  /// builds cross-check against a full walk.
+  /// builds cross-check against a full walk, so callers must be quiescent
+  /// (no in-flight deliveries).
   size_t stored_bytes() const;
 
   size_t objects_known() const;
@@ -142,11 +135,12 @@ class RegisterServer : public net::IProcess {
   void observe_epoch(uint64_t epoch);
 
   /// QUERY-OBJECTS -> OBJECTS-RESP: every object id this server has
-  /// materialized (capped; see .cpp). Lock-free via the per-shard indexes,
-  /// so any shard thread may serve it for a recovering peer.
+  /// materialized (capped; see .cpp). Takes each shard's mutex in turn, so
+  /// any shard thread may serve it for a recovering peer.
   void handle_query_objects(const ProcessId& from, const RegisterMessage& req);
 
-  /// Newest (tag, value) of `object` without creating its store.
+  /// Newest (tag, value) of `object` without creating its store. Takes the
+  /// owner shard's mutex, so any thread may call it.
   std::pair<Tag, Bytes> newest_entry(uint32_t object) const;
 
   const ProcessId self_;
@@ -167,16 +161,18 @@ class RegisterServer : public net::IProcess {
     }
   };
 
-  /// Everything one mailbox shard owns. No locks: the transport guarantees
-  /// all messages for this shard's objects arrive on one thread.
+  /// Everything one mailbox shard owns. The transport delivers all
+  /// messages for this shard's objects on one thread; other threads read
+  /// only `store`, so only `store` is guarded.
   struct Shard {
     Shard(const Bytes& initial, StorePolicy policy, size_t max_history)
         : store(initial, policy, max_history) {}
 
-    /// Object table + per-object logs L + newest snapshots.
-    CompactObjectStore store;
+    mutable Mutex mu;
+    /// Object table + per-object logs L.
+    CompactObjectStore store GUARDED_BY(mu);
     /// Readers waiting for a tag they asked about that we have not yet
-    /// seen: (object, tag) -> [(reader, op_id)].
+    /// seen: (object, tag) -> [(reader, op_id)]. Owner thread only.
     common::FlatHashMap<std::pair<uint32_t, Tag>,
                         std::vector<std::pair<ProcessId, uint64_t>>,
                         ObjectTagHash>
@@ -184,34 +180,15 @@ class RegisterServer : public net::IProcess {
     /// Reverse index: (reader, op_id) -> the deferred keys that hold its
     /// waiters, so READ-DONE cancels with two targeted lookups instead of
     /// sweeping every deferred entry. An op names one object, so all its
-    /// keys land in this shard with it.
+    /// keys land in this shard with it. Owner thread only.
     common::FlatHashMap<std::pair<ProcessId, uint64_t>,
                         std::vector<std::pair<uint32_t, Tag>>, OpKeyHash>
         deferred_by_op;
-
-    // --- write-coalescing state (owner thread only) ----------------------
-    /// True between on_batch_begin and on_batch_end for this shard.
-    bool in_batch{false};
-    /// Replies (ACKs and deferred-reader DATA-AT-RESPs) held back until the
-    /// batch's publishes land, in arrival order.
-    std::vector<std::pair<ProcessId, RegisterMessage>> pending_out;
-    /// Objects whose logs changed this batch but whose newest snapshot is
-    /// not yet published. Duplicates allowed; the flush dedups.
-    std::vector<uint32_t> pending_dirty;
-    /// Batch-scoped memo of cross-shard newest reads: several QUERY-DATA-
-    /// BATCHes in one mailbox batch cost one seqlock read per object.
-    common::FlatHashMap<uint32_t, TaggedValue> batch_read_cache;
   };
 
   uint32_t owner_shard(uint32_t object) const;
   Shard& shard_for(uint32_t object);
   const Shard& shard_for(uint32_t object) const;
-  /// Cross-shard newest read through the seqlock cache; false when the
-  /// object was never materialized (caller answers {t0, initial_}).
-  bool read_newest(uint32_t object, Tag* tag, Bytes* value) const;
-  /// Publishes every dirty object's newest pair, then releases the held
-  /// replies, then clears the batch memo. No-op when nothing is pending.
-  void flush_batch(Shard& shard);
 
   void handle_query_tag(const ProcessId& from, const RegisterMessage& req);
   void handle_put_data(const ProcessId& from, RegisterMessage req);

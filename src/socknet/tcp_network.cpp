@@ -304,11 +304,13 @@ void TcpNetwork::accept_ready(Endpoint* ep) {
       register_conn(std::move(conn));
       continue;
     }
-    // Hand the fd to its owning shard (raw release: std::function needs a
-    // copyable closure, and the registry takes ownership back on arrival).
-    Conn* raw = conn.release();
-    loop_.shard(raw->shard).post(
-        [this, raw] { register_conn(std::unique_ptr<Conn>(raw)); });
+    // Hand the fd to its owning shard. The closure owns the Conn through a
+    // shared_ptr (std::function needs a copyable closure), so a hand-off
+    // that reaches a shard after stop() ran its final drain is freed with
+    // the dropped task instead of leaking.
+    const size_t shard = conn->shard;
+    auto owned = std::make_shared<std::unique_ptr<Conn>>(std::move(conn));
+    loop_.shard(shard).post([this, owned] { register_conn(std::move(*owned)); });
   }
 }
 

@@ -690,9 +690,6 @@ TEST(LintAtomicInRing, ImplicitOrderFlaggedInScope) {
       lint_content("src/runtime/thread_network.cpp",
                    "next_seq_.fetch_add(1);\n"),
       "atomic-in-ring"));
-  EXPECT_TRUE(has_rule(
-      lint_content("src/common/seqlock.h", "active_.exchange(next);\n"),
-      "atomic-in-ring"));
 }
 
 TEST(LintAtomicInRing, ExplicitOrderSatisfiesRule) {

@@ -3,13 +3,10 @@
 // checked against the std::map reference model it replaced, under the same
 // policy/GC semantics the servers rely on (Fig. 3 line 5, max_history GC),
 // plus the paper-shaped histories -- Lemma 4's f garbage tags above every
-// honest one, and Theorem 3's max_history=1 semi-fast schedule. A TSan
-// stress drives the seqlock publish path of the new layout.
+// honest one, and Theorem 3's max_history=1 semi-fast schedule.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,8 +78,9 @@ class ReferenceModel {
   std::map<uint32_t, std::map<Tag, Bytes>> objects_;
 };
 
-/// Every record's log must match the reference entry for entry, and the
-/// published newest pair must match the reference maximum.
+/// Every record's log must match the reference entry for entry, and its
+/// newest pair -- what QUERY-TAG and QUERY-DATA answer -- must match the
+/// reference maximum.
 void expect_equal(const CompactObjectStore& store, const ReferenceModel& ref) {
   ASSERT_EQ(store.size(), ref.objects().size());
   for (const auto& [object, log] : ref.objects()) {
@@ -96,11 +94,11 @@ void expect_equal(const CompactObjectStore& store, const ReferenceModel& ref) {
       EXPECT_EQ(Bytes(v.begin(), v.end()), it->second) << "object " << object;
       ++it;
     }
-    Tag newest_tag;
-    Bytes newest_value;
-    ASSERT_TRUE(rec->newest.read(&newest_tag, &newest_value));
-    EXPECT_EQ(newest_tag, log.rbegin()->first);
-    EXPECT_EQ(newest_value, log.rbegin()->second);
+    const LogEntry& newest = rec->log.newest();
+    const BytesView newest_value = newest.val.view();
+    EXPECT_EQ(newest.tag, log.rbegin()->first);
+    EXPECT_EQ(Bytes(newest_value.begin(), newest_value.end()),
+              log.rbegin()->second);
   }
 }
 
@@ -121,7 +119,7 @@ TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
   Rng rng(0xd1ff + max_history * 31 + static_cast<uint64_t>(policy));
 
   // Value sizes straddle every representation boundary: empty, inline
-  // (<= 16), slab small, slab large, and the > 32 B oversize publish path.
+  // (<= 16), slab small, slab large.
   const size_t kSizes[] = {0, 1, 8, 16, 17, 33, 40, 200, 2048};
   for (int round = 0; round < 4000; ++round) {
     const auto object = static_cast<uint32_t>(rng.uniform(160));
@@ -132,7 +130,6 @@ TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
                  kSizes[rng.uniform(std::size(kSizes))]);
 
     const auto res = store.apply(object, tag, BytesView(value));
-    if (res.added) store.publish(*res.rec);
     stored += res.bytes_delta;
     const auto [ref_added, ref_delta] = ref.apply(object, tag, value);
     ASSERT_EQ(res.added, ref_added) << "round " << round;
@@ -178,7 +175,6 @@ TEST(ObjectStoreTest, LemmaFourGarbageTagsStaySortedAndGcOldestFirst) {
     const auto res =
         store.apply(9, Tag{num, ProcessId::writer(0)}, BytesView(v));
     EXPECT_TRUE(res.added);
-    store.publish(*res.rec);
     ref.apply(9, Tag{num, ProcessId::writer(0)}, v);
   }
   // f = 2 garbage tags far above anything honest.
@@ -187,7 +183,6 @@ TEST(ObjectStoreTest, LemmaFourGarbageTagsStaySortedAndGcOldestFirst) {
     const auto res =
         store.apply(9, Tag{num, ProcessId::writer(2)}, BytesView(v));
     EXPECT_TRUE(res.added);
-    store.publish(*res.rec);
     ref.apply(9, Tag{num, ProcessId::writer(2)}, v);
   }
   expect_equal(store, ref);
@@ -217,7 +212,6 @@ TEST(ObjectStoreTest, MaxHistoryOneKeepsExactlyTheNewestPair) {
     const auto res =
         store.apply(3, Tag{num, ProcessId::writer(0)}, BytesView(v));
     ASSERT_TRUE(res.added);
-    store.publish(*res.rec);
     stored += res.bytes_delta;
 
     const auto* rec = store.find(3);
@@ -235,62 +229,6 @@ TEST(ObjectStoreTest, MaxHistoryOneKeepsExactlyTheNewestPair) {
   // 200 evictions of ~20-140 B blocks through a recycling slab: the arena
   // must stay within a couple of chunks, not grow per write.
   EXPECT_LT(store.resident_bytes(), 1u << 20);
-}
-
-// The seqlock publish path of the new layout under real concurrency: one
-// owner thread applies + publishes monotonically-tagged self-describing
-// values while readers hammer NewestCache::read through the lock-free
-// index. Readers must never see a torn pair (value must match its tag) nor
-// a tag moving backwards. Run under -preset tsan this also proves the
-// data-race freedom of the 192-byte (unaligned-slot) record layout.
-TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
-  CompactObjectStore store(value_of(6, 0, 16), StorePolicy::kMaxOnly, 2);
-  constexpr uint32_t kObject = 17;
-  constexpr uint64_t kWrites = 20000;
-  // Sizes alternate across the inline boundary so readers cross between
-  // the seqlock-inline and oversize shared_ptr representations.
-  auto value_for = [](uint64_t num) {
-    return value_of(8, num, num % 2 == 0 ? 16 : 48);
-  };
-
-  {
-    const auto res = store.apply(kObject, Tag{1, ProcessId::writer(0)},
-                                 BytesView(value_for(1)));
-    store.publish(*res.rec);
-  }
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> torn{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      const NewestCache* cache = store.index().find(kObject);
-      ASSERT_NE(cache, nullptr);
-      uint64_t last = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        Tag tag;
-        Bytes value;
-        if (!cache->read(&tag, &value)) continue;
-        if (tag.num < last) ++torn;
-        last = tag.num;
-        if (value != value_for(tag.num)) ++torn;
-      }
-    });
-  }
-  for (uint64_t num = 2; num <= kWrites; ++num) {
-    const auto res = store.apply(kObject, Tag{num, ProcessId::writer(0)},
-                                 BytesView(value_for(num)));
-    ASSERT_TRUE(res.added);
-    store.publish(*res.rec);
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(torn.load(), 0u);
-
-  Tag tag;
-  Bytes value;
-  ASSERT_TRUE(store.index().find(kObject)->read(&tag, &value));
-  EXPECT_EQ(tag.num, kWrites);
-  EXPECT_EQ(value, value_for(kWrites));
 }
 
 }  // namespace

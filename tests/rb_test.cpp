@@ -217,6 +217,16 @@ class ReplyProbe final : public net::IProcess {
   std::vector<registers::RegisterMessage> got;
 };
 
+/// Sends a bare register message (object 0) from `from` to `to`.
+void send_message(net::Transport& net, const ProcessId& from,
+                  const ProcessId& to, registers::MsgType type,
+                  uint64_t op_id) {
+  registers::RegisterMessage m;
+  m.type = type;
+  m.op_id = op_id;
+  net.send(from, to, m.encode());
+}
+
 TEST(RbRegisterTest, ReadDoneThatOvertakesItsQueryOpensNoSubscription) {
   // Channels reorder, so a read's READ-DONE can reach a server before the
   // read's own QUERY-DATA. The late query is still answered, but must not
@@ -225,19 +235,15 @@ TEST(RbRegisterTest, ReadDoneThatOvertakesItsQueryOpensNoSubscription) {
   SimCluster cluster(rb_options(4, 1));
   cluster.start();
   const ProcessId reader = ProcessId::reader(7);
+  const ProcessId server = ProcessId::server(0);
   ReplyProbe probe;
   cluster.sim().add_process(reader, &probe);
   // One fixed-delay link: messages arrive in the order they are sent.
-  cluster.sim().delay_model().set_link_delay(reader, ProcessId::server(0), 1000);
-  auto send = [&](registers::MsgType type, uint64_t op_id) {
-    registers::RegisterMessage m;
-    m.type = type;
-    m.op_id = op_id;
-    cluster.sim().send(reader, ProcessId::server(0), m.encode());
-  };
-  send(registers::MsgType::kQueryData, 43);  // a read still in progress
-  send(registers::MsgType::kReadDone, 42);   // overtook its own query
-  send(registers::MsgType::kQueryData, 42);
+  cluster.sim().delay_model().set_link_delay(reader, server, 1000);
+  // 43 is a read still in progress; 42's READ-DONE overtook its query.
+  send_message(cluster.sim(), reader, server, registers::MsgType::kQueryData, 43);
+  send_message(cluster.sim(), reader, server, registers::MsgType::kReadDone, 42);
+  send_message(cluster.sim(), reader, server, registers::MsgType::kQueryData, 42);
   cluster.sim().run_until_idle();
   EXPECT_EQ(probe.count(registers::MsgType::kDataResp, 42), 1u);
   EXPECT_EQ(probe.count(registers::MsgType::kDataResp, 43), 1u);
@@ -246,6 +252,74 @@ TEST(RbRegisterTest, ReadDoneThatOvertakesItsQueryOpensNoSubscription) {
   cluster.sim().run_until_idle();
   EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, 43), 1u);
   EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, 42), 0u);
+}
+
+TEST(RbRegisterTest, QueryResentAfterItsReadDoneOpensNoSubscription) {
+  // A client that misses its deadline resends QUERY-DATA under the same op
+  // id, and the resend can land after the read has finished and sent
+  // READ-DONE. The resend is answered, but must not subscribe: nothing
+  // would close that subscription, and the server would push the finished
+  // read a DATA-UPDATE for every write.
+  SimCluster cluster(rb_options(4, 1));
+  cluster.start();
+  const ProcessId reader = ProcessId::reader(7);
+  const ProcessId server = ProcessId::server(0);
+  ReplyProbe probe;
+  cluster.sim().add_process(reader, &probe);
+  // One fixed-delay link: messages arrive in the order they are sent.
+  cluster.sim().delay_model().set_link_delay(reader, server, 1000);
+  send_message(cluster.sim(), reader, server, registers::MsgType::kQueryData, 42);
+  send_message(cluster.sim(), reader, server, registers::MsgType::kReadDone, 42);
+  send_message(cluster.sim(), reader, server, registers::MsgType::kQueryData, 42);
+  cluster.sim().run_until_idle();
+  EXPECT_EQ(probe.count(registers::MsgType::kDataResp, 42), 2u);
+
+  cluster.write(0, val("after"));
+  cluster.sim().run_until_idle();
+  EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, 42), 0u);
+}
+
+TEST(RbRegisterTest, ReadDoneFloodLeavesFinishedReadsAtCap) {
+  // A reader may send READ-DONE for reads it never queried. The server
+  // remembers only its last kFinishedReadsPerReader finished op ids, so a
+  // flood cannot grow server state -- and a new read still subscribes.
+  sim::Simulator sim(sim::SimConfig::with_fixed_delay(5, 1000));
+  registers::SystemConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  std::vector<std::unique_ptr<registers::RbServer>> servers;
+  for (uint32_t i = 0; i < cfg.n; ++i) {
+    servers.push_back(std::make_unique<registers::RbServer>(
+        ProcessId::server(i), cfg, &sim, Bytes{}));
+    sim.add_process(ProcessId::server(i), servers.back().get());
+  }
+  const registers::ClientOptions rb{registers::ProtocolVariant::kRb};
+  registers::RegisterClient writer(ProcessId::writer(0), cfg, &sim, rb);
+  sim.add_process(ProcessId::writer(0), &writer);
+  const ProcessId reader = ProcessId::reader(7);
+  const ProcessId server = ProcessId::server(0);
+  ReplyProbe probe;
+  sim.add_process(reader, &probe);
+
+  constexpr uint64_t kFlood = 100'000;
+  for (uint64_t op = 1; op <= kFlood; ++op) {
+    send_message(sim, reader, server, registers::MsgType::kReadDone, op);
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(servers[0]->finished_reads(),
+            registers::RbServer::kFinishedReadsPerReader);
+
+  // The newest flooded id still counts as finished; a fresh id subscribes.
+  send_message(sim, reader, server, registers::MsgType::kQueryData, kFlood);
+  send_message(sim, reader, server, registers::MsgType::kQueryData, kFlood + 1);
+  sim.run_until_idle();
+  writer.write(0, val("after"), [](const registers::WriteResult&) {});
+  sim.run_until_idle();
+  EXPECT_EQ(probe.count(registers::MsgType::kDataResp, kFlood), 1u);
+  EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, kFlood), 0u);
+  EXPECT_EQ(probe.count(registers::MsgType::kDataUpdate, kFlood + 1), 1u);
+  EXPECT_EQ(servers[0]->finished_reads(),
+            registers::RbServer::kFinishedReadsPerReader);
 }
 
 TEST(RbRegisterTest, ConcurrentWritersBothLand) {

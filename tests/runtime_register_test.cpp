@@ -6,8 +6,13 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "harness/thread_cluster.h"
@@ -55,11 +60,24 @@ class RuntimeBsr {
   }
   void start() { net_->start(); }
 
-  WriteResult write(size_t w, Bytes value) {
-    return BlockingRegisterClient(*writers_[w]).write(0, std::move(value));
+  WriteResult write(size_t w, Bytes value, uint32_t object = 0) {
+    return BlockingRegisterClient(*writers_[w]).write(object, std::move(value));
   }
 
   ReadResult read(size_t r) { return BlockingRegisterClient(*readers_[r]).read(0); }
+  BatchReadResult read_batch(size_t r, std::span<const uint32_t> objects) {
+    return BlockingRegisterClient(*readers_[r]).read_batch(objects);
+  }
+
+  /// The delivery shard that owns `object` (the same on every server).
+  uint32_t shard_of(uint32_t object) const {
+    RegisterMessage q;
+    q.type = MsgType::kQueryData;
+    q.object = object;
+    net::Envelope env;
+    env.payload = Payload(q.encode());
+    return servers_.front()->shard_of(env);
+  }
 
   runtime::ThreadNetwork& net() { return *net_; }
 
@@ -145,8 +163,8 @@ TEST(RuntimeRegisterTest, ConcurrentClientsFromDifferentThreads) {
 
 TEST(RuntimeRegisterTest, ShardedServersOnRealThreads) {
   // Each server runs 4 delivery shards (4 mailbox threads apiece): the
-  // envelope-peek routing, per-shard object tables, and seqlock newest
-  // caches all run on real OS threads here, not just the simulator.
+  // envelope-peek routing and the mutex-guarded per-shard object tables
+  // all run on real OS threads here, not just the simulator.
   RuntimeBsr cluster(5, 1, 0, 0, /*server_shards=*/4);
   cluster.add_writer(0);
   cluster.add_writer(1);
@@ -157,6 +175,87 @@ TEST(RuntimeRegisterTest, ShardedServersOnRealThreads) {
     cluster.write(static_cast<size_t>(i % 2), v);
     EXPECT_EQ(cluster.read(0).value, v);
   }
+}
+
+TEST(RuntimeRegisterTest, CrossShardBatchReadsRaceOwnerWrites) {
+  // QUERY-DATA-BATCH runs on the shard that owns the request's header
+  // object and reads every other object from its owner's store, under
+  // that shard's mutex, while the owner's thread applies PUT-DATAs. Two
+  // writers update objects on every shard while a reader batch-reads them
+  // all. Each answer must be v0 or a pair some write produced -- never a
+  // tag paired with another write's value -- and no object's tag may go
+  // backwards across the reader's batches. Run under the tsan preset,
+  // this is also the data-race check for the cross-shard path.
+  constexpr size_t kShards = 4;
+  constexpr uint32_t kObjects = 16;
+  constexpr int kWritesPerWriter = 96;
+  RuntimeBsr cluster(5, 1, 0, 0, kShards);
+  cluster.add_writer(0);
+  cluster.add_writer(1);
+  cluster.add_reader(0);
+  cluster.start();
+
+  std::vector<uint32_t> objects(kObjects);
+  std::set<uint32_t> shards;
+  for (uint32_t o = 0; o < kObjects; ++o) {
+    objects[o] = o;
+    shards.insert(cluster.shard_of(o));
+  }
+  ASSERT_EQ(shards.size(), kShards) << "objects must span every shard";
+
+  // Values alternate between inline (<= 16 B) and slab-backed lengths.
+  auto value_of = [](size_t w, uint32_t object, int i) {
+    std::string v = "w" + std::to_string(w) + "/o" + std::to_string(object) +
+                    "/" + std::to_string(i);
+    if (i % 2 == 1) v.resize(48, '.');
+    return val(v);
+  };
+  // (object, tag) -> value, filled in by each writer; merged after join.
+  using Written = std::map<std::pair<uint32_t, Tag>, Bytes>;
+  std::vector<Written> written(2);
+  std::atomic<int> writers_done{0};
+  auto writer_thread = [&](size_t w) {
+    for (int i = 0; i < kWritesPerWriter; ++i) {
+      const uint32_t object = objects[static_cast<size_t>(i) % kObjects];
+      Bytes v = value_of(w, object, i);
+      const Tag tag = cluster.write(w, v, object).tag;
+      written[w].emplace(std::make_pair(object, tag), std::move(v));
+    }
+    writers_done.fetch_add(1);
+  };
+
+  std::vector<std::tuple<uint32_t, Tag, Bytes>> seen;
+  int backwards = 0;
+  std::thread tw0(writer_thread, 0);
+  std::thread tw1(writer_thread, 1);
+  std::vector<Tag> last(kObjects, Tag::initial());
+  for (int batches = 0; batches < 8 || writers_done.load() < 2; ++batches) {
+    const BatchReadResult batch = cluster.read_batch(0, objects);
+    EXPECT_EQ(batch.results.size(), kObjects);  // no ASSERT: writers run
+    for (uint32_t o = 0; o < kObjects && o < batch.results.size(); ++o) {
+      const ReadResult& r = batch.results[o];
+      if (r.tag < last[o]) ++backwards;
+      last[o] = r.tag;
+      seen.emplace_back(o, r.tag, r.value);
+    }
+  }
+  tw0.join();
+  tw1.join();
+  EXPECT_EQ(backwards, 0);
+
+  written[0].merge(written[1]);
+  size_t fresh = 0;
+  for (const auto& [object, tag, value] : seen) {
+    if (tag == Tag::initial()) {
+      EXPECT_EQ(value, Bytes{}) << "object " << object;
+      continue;
+    }
+    const auto it = written[0].find({object, tag});
+    ASSERT_NE(it, written[0].end()) << "object " << object << " tag " << tag.num;
+    EXPECT_EQ(value, it->second) << "object " << object << " tag " << tag.num;
+    ++fresh;
+  }
+  EXPECT_GT(fresh, 0u);
 }
 
 TEST(RuntimeRegisterTest, BcsrDecodesOnRealThreads) {

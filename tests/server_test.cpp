@@ -431,9 +431,10 @@ TEST_F(ShardedServerFixture, BatchReadsAcrossShardOwners) {
 }
 
 TEST_F(ShardedServerFixture, OversizeValuesRoundTripThroughCache) {
-  // Values past NewestCache::kInlineValueCap take the shared_ptr path.
-  Bytes big(NewestCache::kInlineValueCap + 500, uint8_t{0xAB});
+  // A 532-byte value lives in a slab block, not inside its log entry.
+  Bytes big(532, uint8_t{0xAB});
   put(5, Tag{1, writer_}, big);
+  EXPECT_EQ(server_.max_value(5), big);
 
   probe_.received.clear();
   RegisterMessage q;
@@ -443,8 +444,10 @@ TEST_F(ShardedServerFixture, OversizeValuesRoundTripThroughCache) {
   ASSERT_EQ(probe_.received.size(), 1u);
   EXPECT_EQ(probe_.received[0].value, big);
 
-  // Shrink back under the cap: the inline path must supersede the pointer.
+  // Shrink back to an inline value: the newest entry must supersede it.
   put(5, Tag{2, writer_}, Bytes{'s'});
+  EXPECT_EQ(server_.max_tag(5), (Tag{2, writer_}));
+  EXPECT_EQ(server_.max_value(5), (Bytes{'s'}));
   probe_.received.clear();
   send(q);
   ASSERT_EQ(probe_.received.size(), 1u);

@@ -98,8 +98,7 @@ const std::regex kAtomicOp(
 /// weakly-ordered targets).
 bool atomic_order_scoped(const std::string& rel_path) {
   return rel_path.rfind("src/runtime/", 0) == 0 ||
-         rel_path == "src/common/mpsc_ring.h" ||
-         rel_path == "src/common/seqlock.h";
+         rel_path == "src/common/mpsc_ring.h";
 }
 
 /// Argument text of a call whose opening paren sits at (line `idx`, column

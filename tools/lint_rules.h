@@ -85,8 +85,8 @@
 //   atomic-in-ring      an atomic load/store/exchange/fetch_*/
 //                       compare_exchange_* without an explicit
 //                       memory_order argument inside the lock-free
-//                       delivery path (src/runtime/**, common/mpsc_ring.h,
-//                       common/seqlock.h). Those files carry a written
+//                       delivery path (src/runtime/** and
+//                       common/mpsc_ring.h). Those files carry a written
 //                       memory-order argument per access; an implicit
 //                       seq_cst both hides which ordering the proof relies
 //                       on and costs a full fence on weakly-ordered
