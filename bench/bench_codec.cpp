@@ -11,20 +11,21 @@
 //    linearly in value size; error decoding costs a small constant factor
 //    over the clean path thanks to chunked verify-then-materialize.
 //
-//  * `bench_codec --json=PATH [--quick]`: skips google-benchmark and emits
-//    a machine-readable throughput snapshot -- encode / decode-clean /
-//    decode-adversarial MB/s per (n, f, size, kernel), iterating over every
-//    region kernel the host supports. CI diffs this against the checked-in
-//    BENCH_codec.json baseline with tools/bench_regress (fails on > 20%
-//    regression). `--quick` shortens the per-point measurement window.
+//  * `bench_codec --json=PATH [--quick]`: skips google-benchmark and writes
+//    one row per (n, f, size, kernel), iterating over every region kernel
+//    the host supports, with encode / decode-clean / decode-adversarial MB/s
+//    as floor metrics (bench::write_rows). CI diffs the file against the
+//    checked-in BENCH_codec.json baseline with tools/bench_regress (fails on
+//    > 20% regression). `--quick` shortens the per-point measurement window.
+//    Flags other than BenchArgs' own go to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "codec/gf_region.h"
 #include "codec/mds_code.h"
 #include "common/rng.h"
@@ -147,23 +148,15 @@ struct JsonConfig {
   size_t size;
 };
 
-int run_json_mode(const std::string& path, bool quick) {
+int run_json_mode(const bench::BenchArgs& args) {
   // (n, f, size) grid; (11, 2, 64 KiB) is the acceptance configuration.
   const JsonConfig configs[] = {
       {6, 1, 65536},  {11, 1, 65536},   {11, 2, 65536},
       {16, 2, 65536}, {11, 2, 1 << 20}, {21, 3, 262144},
   };
-  const double window = quick ? 0.06 : 0.5;
+  const double window = args.quick ? 0.06 : 0.5;
 
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "bench_codec: cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": \"bftreg-bench-codec-v1\",\n");
-  std::fprintf(out, "  \"quick\": %s,\n  \"results\": [", quick ? "true" : "false");
-
-  bool first = true;
+  std::vector<bench::BenchRow> rows;
   for (const auto k :
        {codec::gf::RegionKernel::kScalar, codec::gf::RegionKernel::kSwar,
         codec::gf::RegionKernel::kSsse3, codec::gf::RegionKernel::kAvx2}) {
@@ -188,41 +181,34 @@ int run_json_mode(const std::string& path, bool quick) {
       const double dec_adv = measure_mbps(cfg.size, window,
                                           [&] { benchmark::DoNotOptimize(code.decode(adv)); });
 
-      std::fprintf(out,
-                   "%s\n    {\"n\": %zu, \"f\": %zu, \"size\": %zu, "
-                   "\"kernel\": \"%s\", \"encode_mbps\": %.1f, "
-                   "\"decode_clean_mbps\": %.1f, \"decode_adv_mbps\": %.1f}",
-                   first ? "" : ",", cfg.n, cfg.f, cfg.size,
-                   codec::gf::kernel_name(k), enc, dec_clean, dec_adv);
-      first = false;
+      rows.push_back({.key = "n=" + std::to_string(cfg.n) +
+                             "/f=" + std::to_string(cfg.f) +
+                             "/size=" + std::to_string(cfg.size) +
+                             "/kernel=" + codec::gf::kernel_name(k),
+                      .floor = {{"encode_mbps", enc},
+                                {"decode_clean_mbps", dec_clean},
+                                {"decode_adv_mbps", dec_adv}}});
       std::fprintf(stderr, "  %-6s n=%2zu f=%zu size=%7zu  enc %8.1f  clean %8.1f  adv %8.1f MB/s\n",
                    codec::gf::kernel_name(k), cfg.n, cfg.f, cfg.size, enc,
                    dec_clean, dec_adv);
     }
   }
   codec::gf::reset_kernel();
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::fprintf(stderr, "bench_codec: wrote %s\n", path.c_str());
-  return 0;
+  return bench::write_rows(args.json_path, args.quick, rows) ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool quick = false;
+  // Flags BenchArgs does not know go to Google Benchmark.
   std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_path.empty()) return run_json_mode(json_path, quick);
+  const auto args =
+      bench::BenchArgs::parse(argc, argv, "", [&passthrough](const char* a) {
+        passthrough.push_back(const_cast<char*>(a));
+        return true;
+      });
+  if (!args) return 2;
+  if (!args->json_path.empty()) return run_json_mode(*args);
 
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());

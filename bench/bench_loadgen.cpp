@@ -3,9 +3,9 @@
 // transport.
 //
 //   bench_loadgen                 connections-vs-throughput/latency curve
-//   bench_loadgen --json=PATH     machine-readable snapshot (schema
-//                                 bftreg-bench-transport-v1, rows keyed
-//                                 transport="loadgen"/size/fanin)
+//   bench_loadgen --json=PATH     machine-readable snapshot (rows keyed
+//                                 "transport=loadgen/size=S/fanin=N",
+//                                 gated against BENCH_transport.json)
 //                 [--quick]       small fleets (256, 1024) for CI
 //                 [--seed=N]      zipfian/workload seed
 //                 [--duration=S]  measurement window per point
@@ -27,10 +27,10 @@
 // honoring the paper's SWMR model. Every client op carries a deadline
 // (OpOptions) so a shed frame surfaces as result.timed_out, never a hang.
 //
-// The JSON rows ride the bftreg-bench-transport-v1 schema:
-// tools/bench_regress gates msgs_per_sec/mbps (>20% drop fails CI) while
-// p50_us/p99_us are recorded but ungated -- wall-clock latency on shared
-// CI hosts is information, not a contract.
+// Each row (bench::write_rows) carries msgs_per_sec/mbps as floors, which
+// tools/bench_regress gates (>20% drop fails CI), and p50_us/p99_us as
+// info, recorded but never gated -- wall-clock latency on shared CI hosts
+// is information, not a contract.
 #include <sys/resource.h>
 
 #include <atomic>
@@ -225,19 +225,6 @@ int run_curve(const BenchArgs& args) {
   const double duration_s =
       args.duration_s > 0 ? args.duration_s : (args.quick ? 2.0 : 5.0);
 
-  FILE* out = nullptr;
-  if (!args.json_path.empty()) {
-    out = std::fopen(args.json_path.c_str(), "w");
-    if (!out) {
-      std::fprintf(stderr, "bench_loadgen: cannot open %s for writing\n",
-                   args.json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"schema\": \"bftreg-bench-transport-v1\",\n");
-    std::fprintf(out, "  \"quick\": %s,\n  \"results\": [",
-                 args.quick ? "true" : "false");
-  }
-
   // Throwaway point: the first network of the process pays one-time costs
   // (allocator growth, page faults, scheduler warm-up) that show up as a
   // milliseconds-scale p99 on whatever point runs first. Burn them here so
@@ -246,7 +233,7 @@ int run_curve(const BenchArgs& args) {
 
   std::fprintf(stderr, "%-8s %10s %12s %10s %10s %10s\n", "clients", "issued",
                "msgs/s", "p50 us", "p99 us", "timeouts");
-  bool first = true;
+  std::vector<BenchRow> rows;
   int failures = 0;
   for (const size_t fleet : fleets) {
     // Two fds per client (both connection ends are in-process) plus loop,
@@ -265,20 +252,13 @@ int run_curve(const BenchArgs& args) {
                  static_cast<unsigned long long>(r.issued), r.msgs_per_sec,
                  r.p50_us, r.p99_us,
                  static_cast<unsigned long long>(r.timed_out));
-    if (out) {
-      std::fprintf(out,
-                   "%s\n    {\"transport\": \"loadgen\", \"size\": %zu, "
-                   "\"fanin\": %zu, \"msgs_per_sec\": %.0f, \"mbps\": %.1f, "
-                   "\"p50_us\": %.0f, \"p99_us\": %.0f}",
-                   first ? "" : ",", kValueSize, fleet, r.msgs_per_sec, r.mbps,
-                   r.p50_us, r.p99_us);
-      first = false;
-    }
+    rows.push_back({.key = "transport=loadgen/size=" + std::to_string(kValueSize) +
+                           "/fanin=" + std::to_string(fleet),
+                    .floor = {{"msgs_per_sec", r.msgs_per_sec}, {"mbps", r.mbps}},
+                    .info = {{"p50_us", r.p50_us}, {"p99_us", r.p99_us}}});
   }
-  if (out) {
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::fprintf(stderr, "bench_loadgen: wrote %s\n", args.json_path.c_str());
+  if (!args.json_path.empty() && !write_rows(args.json_path, args.quick, rows)) {
+    return 1;
   }
   return failures > 0 ? 1 : 0;
 }

@@ -8,15 +8,13 @@
 // semi-fast protocols' advantage over both the two-round variant and the RB
 // baseline grows with the read ratio, and is largest at 99.8% reads.
 //
-// Pipelined mode (always printed; `--json=PATH` additionally writes the
-// bftreg-bench-client-v1 snapshot consumed by tools/bench_regress against
-// the checked-in BENCH_client.json): ONE RegisterClient keeps an in-flight
-// window of 1 / 8 / 64 operations over 8 objects. Per-operation latency is
-// delay-bound and constant, so throughput should scale almost linearly
-// with the window -- the measured speedup of depth 64 over depth 1 is the
-// operation multiplexer's headline number.
-#include <cstring>
-#include <fstream>
+// Pipelined mode (always printed; `--json=PATH` additionally writes one
+// row per depth with ops_per_ms as a floor, which tools/bench_regress
+// diffs against the checked-in BENCH_client.json): ONE RegisterClient
+// keeps an in-flight window of 1 / 8 / 64 operations over 8 objects.
+// Per-operation latency is delay-bound and constant, so throughput should
+// scale almost linearly with the window -- the measured speedup of depth
+// 64 over depth 1 is the operation multiplexer's headline number.
 #include <functional>
 
 #include "bench_util.h"
@@ -175,10 +173,8 @@ PipelinedResult run_pipelined(size_t depth, size_t total_ops, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
+  const auto args = BenchArgs::parse(argc, argv);
+  if (!args) return 2;
 
   std::printf("E3: mixed workloads (closed loop, 2 writers + 2 readers)\n");
   std::printf("1000 ops per cell, uniform delay 500-1500 ns, f = 1\n\n");
@@ -226,26 +222,17 @@ int main(int argc, char** argv) {
       "the window, so throughput scales with depth -- the multiplexer keeps\n"
       "64 quorums counting concurrently on one client.\n");
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-    out << "{\n  \"schema\": \"bftreg-bench-client-v1\",\n  \"results\": [\n";
+  if (!args->json_path.empty()) {
+    std::vector<BenchRow> rows;
     for (size_t d = 0; d < 3; ++d) {
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "    {\"protocol\": \"bsr\", \"depth\": %zu, "
-                    "\"ops_per_ms\": %.2f, \"mean_op_us\": %.2f, "
-                    "\"speedup_vs_depth1\": %.2f}%s\n",
-                    depths[d], results[d].ops_per_ms, results[d].mean_op_us,
-                    results[d].ops_per_ms / results[0].ops_per_ms,
-                    d + 1 < 3 ? "," : "");
-      out << line;
+      rows.push_back(
+          {.key = "protocol=bsr/depth=" + std::to_string(depths[d]),
+           .floor = {{"ops_per_ms", results[d].ops_per_ms}},
+           .info = {{"mean_op_us", results[d].mean_op_us},
+                    {"speedup_vs_depth1",
+                     results[d].ops_per_ms / results[0].ops_per_ms}}});
     }
-    out << "  ]\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    if (!write_rows(args->json_path, args->quick, rows)) return 1;
   }
   return 0;
 }

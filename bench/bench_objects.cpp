@@ -6,12 +6,10 @@
 // inline NewestCache slots).
 //
 //   bench_objects                 1M-object footprint + YCSB throughput table
-//   bench_objects --json=PATH     machine-readable snapshot (schema
-//                                 bftreg-bench-objects-v1, rows keyed
-//                                 store/workload/dist/keys/size; metrics
-//                                 bytes_per_object -- gated as a CEILING by
-//                                 tools/bench_regress -- and ops_per_sec,
-//                                 gated as a floor)
+//   bench_objects --json=PATH     machine-readable snapshot (rows keyed
+//                                 store/workload/dist/keys/size; footprint
+//                                 rows carry bytes_per_object as a ceiling,
+//                                 throughput rows ops_per_sec as a floor)
 //                 [--quick]       same key count, smaller op budgets
 //                 [--keys=N]      object count (default 1,000,000)
 //
@@ -408,34 +406,19 @@ int run(const BenchArgs& args, size_t keys) {
   }
 
   if (!args.json_path.empty()) {
-    FILE* out = std::fopen(args.json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "bench_objects: cannot open %s for writing\n",
-                   args.json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"schema\": \"bftreg-bench-objects-v1\",\n");
-    std::fprintf(out, "  \"quick\": %s,\n  \"results\": [",
-                 args.quick ? "true" : "false");
-    bool first = true;
+    std::vector<BenchRow> out;
     for (const Row& r : rows) {
-      std::fprintf(out,
-                   "%s\n    {\"store\": \"%s\", \"workload\": \"%s\", "
-                   "\"dist\": \"%s\", \"keys\": %zu, \"size\": %zu",
-                   first ? "" : ",", r.store, r.workload, r.dist, r.keys,
-                   r.value_size);
+      BenchRow row{.key = std::string("store=") + r.store +
+                          "/workload=" + r.workload + "/dist=" + r.dist +
+                          "/keys=" + std::to_string(r.keys) +
+                          "/size=" + std::to_string(r.value_size)};
       if (r.bytes_per_object >= 0) {
-        std::fprintf(out, ", \"bytes_per_object\": %.1f", r.bytes_per_object);
+        row.ceiling.emplace_back("bytes_per_object", r.bytes_per_object);
       }
-      if (r.ops_per_sec >= 0) {
-        std::fprintf(out, ", \"ops_per_sec\": %.0f", r.ops_per_sec);
-      }
-      std::fprintf(out, "}");
-      first = false;
+      if (r.ops_per_sec >= 0) row.floor.emplace_back("ops_per_sec", r.ops_per_sec);
+      out.push_back(std::move(row));
     }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::fprintf(stderr, "bench_objects: wrote %s\n", args.json_path.c_str());
+    if (!write_rows(args.json_path, args.quick, out)) return 1;
   }
 
   // In-binary acceptance, host-independent (ratios of two same-host runs).

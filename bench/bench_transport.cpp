@@ -6,8 +6,9 @@
 //                   [--quick]       shorter per-point message budget
 //                   [--mailbox]     only the shard-count sweep (the CI
 //                                   mailbox-bench quick gate)
-//                   [--filter=STR]  only points whose "net/size/fanin[/sN]"
-//                                   key contains STR (dev iteration)
+//                   [--filter=STR]  only points whose row key (e.g.
+//                                   "transport=tcp/size=64/fanin=5/shards=2")
+//                                   contains STR (dev iteration)
 //
 // The common flags (--json/--quick/--seed/--duration) parse through
 // bench::BenchArgs like every other bench binary; --mailbox/--filter are
@@ -24,12 +25,12 @@
 // The shard sweep re-runs the small-payload points with the sink split
 // into 1/2/4/8 delivery shards (IProcess::delivery_shards) to expose how
 // the MPSC-ring control plane scales when a hot process fans its handlers
-// out; rows carry a "shards" field so bench_regress keys them apart.
+// out; their row keys end in "/shards=N" so bench_regress keys them apart.
 //
-// The JSON snapshot (schema bftreg-bench-transport-v1, points keyed by
-// (transport, size, fanin[, shards])) is diffed against the checked-in
-// BENCH_transport.json by tools/bench_regress in CI; a >20% drop in
-// msgs_per_sec or mbps on any point fails the gate. docs/PERF.md records
+// The JSON snapshot (bench::write_rows; one row per (transport, size,
+// fanin[, shards]) with msgs_per_sec and mbps as floors) is diffed against
+// the checked-in BENCH_transport.json by tools/bench_regress in CI; a >20%
+// drop in either metric on any point fails the gate. docs/PERF.md records
 // the before/after tables for the writev-coalescing and lock-free-mailbox
 // rewrites.
 #include <atomic>
@@ -195,7 +196,7 @@ struct GridPoint {
   size_t fanin;
   size_t size;
   uint64_t per_source;  // full-mode budget; quick mode divides by 4
-  /// 0 = base grid (no "shards" JSON field, sink uses 1 shard);
+  /// 0 = base grid (no "/shards=" key suffix, sink uses 1 shard);
   /// >0 = shard-sweep row.
   uint32_t shards{0};
 };
@@ -230,23 +231,11 @@ RunResult run_transport(const std::string& transport, const GridPoint& p,
                                            sink_shards, std::move(cfg));
 }
 
-int run_grid(const std::string& json_path, bool quick, bool mailbox_only,
+int run_grid(const BenchArgs& args, bool mailbox_only,
              const std::string& filter) {
-  FILE* out = nullptr;
-  if (!json_path.empty()) {
-    out = std::fopen(json_path.c_str(), "w");
-    if (!out) {
-      std::fprintf(stderr, "bench_transport: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"schema\": \"bftreg-bench-transport-v1\",\n");
-    std::fprintf(out, "  \"quick\": %s,\n  \"results\": [", quick ? "true" : "false");
-  }
-
   std::fprintf(stderr, "%-7s %8s %6s %7s %14s %10s\n", "net", "size", "fanin",
                "shards", "msgs/s", "MB/s");
-  bool first = true;
+  std::vector<BenchRow> rows;
   int failures = 0;
   for (const char* transport : {"tcp", "thread"}) {
     std::vector<GridPoint> points;
@@ -255,39 +244,24 @@ int run_grid(const std::string& json_path, bool quick, bool mailbox_only,
     }
     points.insert(points.end(), std::begin(kShardSweep), std::end(kShardSweep));
     for (const auto& p : points) {
-      char key[96];
-      if (p.shards == 0) {
-        std::snprintf(key, sizeof(key), "%s/%zu/%zu", transport, p.size, p.fanin);
-      } else {
-        std::snprintf(key, sizeof(key), "%s/%zu/%zu/s%u", transport, p.size,
-                      p.fanin, p.shards);
-      }
-      if (!filter.empty() && std::strstr(key, filter.c_str()) == nullptr) {
-        continue;
-      }
+      std::string key = std::string("transport=") + transport +
+                        "/size=" + std::to_string(p.size) +
+                        "/fanin=" + std::to_string(p.fanin);
+      if (p.shards != 0) key += "/shards=" + std::to_string(p.shards);
+      if (!filter.empty() && key.find(filter) == std::string::npos) continue;
       const uint64_t per_source =
-          quick ? std::max<uint64_t>(p.per_source / 4, 16) : p.per_source;
+          args.quick ? std::max<uint64_t>(p.per_source / 4, 16) : p.per_source;
       const RunResult r = run_transport(transport, p, per_source);
       if (!r.completed) ++failures;
       std::fprintf(stderr, "%-7s %8zu %6zu %7u %14.0f %10.1f%s\n", transport,
                    p.size, p.fanin, p.shards == 0 ? 1 : p.shards,
                    r.msgs_per_sec, r.mbps, r.completed ? "" : "  [TIMEOUT]");
-      if (out) {
-        std::fprintf(out,
-                     "%s\n    {\"transport\": \"%s\", \"size\": %zu, "
-                     "\"fanin\": %zu, ",
-                     first ? "" : ",", transport, p.size, p.fanin);
-        if (p.shards != 0) std::fprintf(out, "\"shards\": %u, ", p.shards);
-        std::fprintf(out, "\"msgs_per_sec\": %.0f, \"mbps\": %.1f}",
-                     r.msgs_per_sec, r.mbps);
-        first = false;
-      }
+      rows.push_back({.key = key,
+                      .floor = {{"msgs_per_sec", r.msgs_per_sec}, {"mbps", r.mbps}}});
     }
   }
-  if (out) {
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::fprintf(stderr, "bench_transport: wrote %s\n", json_path.c_str());
+  if (!args.json_path.empty() && !write_rows(args.json_path, args.quick, rows)) {
+    return 1;
   }
   return failures > 0 ? 1 : 0;
 }
@@ -311,6 +285,5 @@ int main(int argc, char** argv) {
         return false;
       });
   if (!args) return 2;
-  return bftreg::bench::run_grid(args->json_path, args->quick, mailbox_only,
-                                 filter);
+  return bftreg::bench::run_grid(*args, mailbox_only, filter);
 }

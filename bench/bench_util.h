@@ -12,6 +12,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "harness/sim_cluster.h"
@@ -67,6 +69,58 @@ struct BenchArgs {
     return args;
   }
 };
+
+/// One measured point of a gated bench. `key` names the point; each metric
+/// is tagged with how tools/bench_regress treats it against a baseline:
+/// `floor` (higher is better, fails on a drop), `ceiling` (lower is better,
+/// fails on growth) or `info` (recorded, never compared).
+struct BenchRow {
+  using Metrics = std::vector<std::pair<std::string, double>>;
+
+  std::string key;
+  Metrics floor{};
+  Metrics ceiling{};
+  Metrics info{};
+};
+
+/// Writes `rows` to `path` as a bftreg-bench-rows-v1 snapshot, the one
+/// format tools/bench_regress reads. Each row sits on its own line so the
+/// gate's parser needs no JSON library.
+inline bool write_rows(const std::string& path, bool quick,
+                       const std::vector<BenchRow>& rows) {
+  FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  std::fprintf(out,
+               "{\"schema\": \"bftreg-bench-rows-v1\", \"quick\": %s, "
+               "\"rows\": [\n",
+               quick ? "true" : "false");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const BenchRow& row = rows[i];
+    std::fprintf(out, "  {\"key\": \"%s\"", row.key.c_str());
+    const std::pair<const char*, const BenchRow::Metrics*> groups[] = {
+        {"floor", &row.floor}, {"ceiling", &row.ceiling}, {"info", &row.info}};
+    for (const auto& [tag, metrics] : groups) {
+      if (metrics->empty()) continue;
+      std::fprintf(out, ", \"%s\": {", tag);
+      for (size_t m = 0; m < metrics->size(); ++m) {
+        std::fprintf(out, "%s\"%s\": %.2f", m == 0 ? "" : ", ",
+                     (*metrics)[m].first.c_str(), (*metrics)[m].second);
+      }
+      std::fprintf(out, "}");
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "]}\n");
+  if (std::fclose(out) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return true;
+}
 
 inline harness::ClusterOptions make_options(harness::Protocol protocol, size_t n,
                                             size_t f, uint64_t seed,

@@ -2,17 +2,13 @@
 //
 // Thread-safety: OnlineStats, Samples, and TextTable are single-threaded
 // (note that Samples::percentile sorts lazily under const, so even
-// concurrent *reads* race). When several threads record into one
-// accumulator -- e.g. per-client latency recording in the wall-clock
-// harness -- use ConcurrentStats, whose lock discipline is statically
-// checked via the annotations in common/thread_annotations.h.
+// concurrent *reads* race); a caller that records from several threads
+// guards the accumulator itself.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "common/sync.h"
 
 namespace bftreg {
 
@@ -64,54 +60,6 @@ class Samples {
  private:
   mutable std::vector<double> values_;
   mutable bool sorted_{false};
-};
-
-/// Thread-safe OnlineStats: many recorder threads, any thread may snapshot.
-/// A single mutex is deliberate -- recording is a handful of arithmetic ops,
-/// so sharding buys nothing at the rates the harness produces; revisit if a
-/// perf PR makes this a hot path.
-class ConcurrentStats {
- public:
-  void add(double x) {
-    MutexLock lock(mu_);
-    stats_.add(x);
-  }
-
-  /// Consistent point-in-time copy; prefer this over calling the individual
-  /// accessors in sequence when the recorders are still running.
-  OnlineStats snapshot() const {
-    MutexLock lock(mu_);
-    return stats_;
-  }
-
-  uint64_t count() const {
-    MutexLock lock(mu_);
-    return stats_.count();
-  }
-  double mean() const {
-    MutexLock lock(mu_);
-    return stats_.mean();
-  }
-  double stddev() const {
-    MutexLock lock(mu_);
-    return stats_.stddev();
-  }
-  double min() const {
-    MutexLock lock(mu_);
-    return stats_.min();
-  }
-  double max() const {
-    MutexLock lock(mu_);
-    return stats_.max();
-  }
-  double sum() const {
-    MutexLock lock(mu_);
-    return stats_.sum();
-  }
-
- private:
-  mutable Mutex mu_;
-  OnlineStats stats_ GUARDED_BY(mu_);
 };
 
 /// Fixed-width text table used by the bench binaries to print the

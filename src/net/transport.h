@@ -112,8 +112,8 @@ class IProcess {
   /// different shards may be open concurrently. Default: no-op, and
   /// transports that deliver one message at a time (the simulator) never
   /// call either -- implementations must not depend on the brackets for
-  /// correctness, only use them to amortize (e.g. the register server's
-  /// write coalescing).
+  /// correctness, only use them to amortize. No process in src/ overrides
+  /// them.
   virtual void on_batch_begin(uint32_t shard) { (void)shard; }
   virtual void on_batch_end(uint32_t shard) { (void)shard; }
 };

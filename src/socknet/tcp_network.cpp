@@ -305,11 +305,17 @@ void TcpNetwork::accept_ready(Endpoint* ep) {
       continue;
     }
     // Hand the fd to its owning shard. The closure owns the Conn through a
-    // shared_ptr (std::function needs a copyable closure), so a hand-off
-    // that reaches a shard after stop() ran its final drain is freed with
-    // the dropped task instead of leaking.
+    // shared_ptr (std::function needs a copyable closure). stop() stops the
+    // shards one at a time, so a hand-off can reach a shard that already
+    // ran its final drain; the dropped task then frees the Conn, and the
+    // deleter closes the fd that no shard ever registered.
     const size_t shard = conn->shard;
-    auto owned = std::make_shared<std::unique_ptr<Conn>>(std::move(conn));
+    std::shared_ptr<std::unique_ptr<Conn>> owned(
+        new std::unique_ptr<Conn>(std::move(conn)),
+        [](std::unique_ptr<Conn>* p) {
+          if (*p) ::close((*p)->fd);
+          delete p;
+        });
     loop_.shard(shard).post([this, owned] { register_conn(std::move(*owned)); });
   }
 }

@@ -1,10 +1,15 @@
 // TCP loopback transport tests: frame transport, authentication, and the
 // full BSR protocol running over real kernel sockets.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -158,6 +163,68 @@ TEST(TcpNetworkTest, StopBeforeStartIsANoOp) {
   net.start();
   EXPECT_TRUE(wait_for([&] { return a.started(); }));
   net.stop();
+}
+
+/// Descriptors this process holds open right now.
+size_t open_fds() {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(TcpNetworkTest, StopClosesConnectionsHandedOffDuringShutdown) {
+  // stop() stops the loop shards one at a time. While the listener's home
+  // shard still runs, it accepts connections and hands them to shards that
+  // already ran their final drain. Those hand-offs are dropped, and each
+  // must close its fd. A dialer connects throughout stop() to hit that
+  // window; a listener on the shard stopped last leaves it widest.
+  TcpConfig cfg;
+  cfg.options.loop_shards = 4;
+  ProcessId listener = ProcessId::server(0);
+  {
+    TcpNetwork net(cfg);
+    for (uint32_t i = 0; i < 64; ++i) {
+      if (net.test_hooks().loop_shard_of(ProcessId::server(i)) ==
+          cfg.options.loop_shards - 1) {
+        listener = ProcessId::server(i);
+        break;
+      }
+    }
+  }
+  const size_t before = open_fds();
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    {
+      TcpNetwork net(cfg);
+      Counter sink(listener);
+      net.add_process(listener, &sink);
+      net.start();
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(net.port_of(listener));
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      std::atomic<bool> dialing{true};
+      std::thread dialer([&] {
+        while (dialing.load()) {
+          const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+          if (fd < 0) continue;
+          ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+          // Abortive close: no TIME_WAIT, so the dialer never runs the
+          // host out of ephemeral ports.
+          const linger abort{1, 0};
+          ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+          ::close(fd);
+        }
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      net.stop();
+      dialing.store(false);
+      dialer.join();
+    }
+    ASSERT_EQ(open_fds(), before) << "cycle " << cycle;
+  }
 }
 
 TEST(TcpNetworkTest, ShardHashIsStableAcrossInstances) {

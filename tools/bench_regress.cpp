@@ -1,160 +1,98 @@
-// Benchmark regression gate for the checked-in throughput baselines.
+// Benchmark regression gate for the checked-in baselines (BENCH_*.json).
 //
 //   bench_regress <baseline.json> <current.json> [--max-regress=0.20]
 //
-// Four schemas are understood, selected by the files' "schema" field (both
-// files must agree):
+// Both files are bftreg-bench-rows-v1 snapshots, as bench::write_rows
+// (bench/bench_util.h) writes them for every gated bench: one row per line,
+// each a "key" naming the measured point plus its metrics, grouped by how
+// the gate treats them:
 //
-//   bftreg-bench-codec-v1      written by `bench_codec --json=PATH`; points
-//                              keyed by (n, f, size, kernel), metrics
-//                              encode/decode_clean/decode_adv MB/s.
-//   bftreg-bench-client-v1     written by `bench_mixed_workload --json=PATH`;
-//                              points keyed by (protocol, depth), metric
-//                              ops_per_ms of the pipelined client.
-//   bftreg-bench-transport-v1  written by `bench_transport --json=PATH`;
-//                              points keyed by (transport, size, fanin)
-//                              plus "/shards=N" for shard-sweep rows,
-//                              metrics msgs_per_sec and mbps of the raw
-//                              data plane.
-//   bftreg-bench-objects-v1    written by `bench_objects --json=PATH`;
-//                              points keyed by (store, workload, dist,
-//                              keys, size), metrics ops_per_sec (higher is
-//                              better) and bytes_per_object -- the one
-//                              CEILING metric: the gate fails when the
-//                              current footprint EXCEEDS baseline *
-//                              (1 + max_regress).
+//   floor    higher is better; fails below baseline * (1 - max_regress)
+//   ceiling  lower is better; fails above baseline * (1 + max_regress)
+//   info     recorded, never compared
 //
-// Every point present in BOTH files is compared metric by metric; if any
-// current metric falls below baseline * (1 - max_regress) -- or above
-// baseline * (1 + max_regress) for ceiling metrics -- the gate fails
-// (exit 1). Points that exist only on one side (e.g. the CI host lacks
-// AVX2) are reported but do not fail the gate -- hardware variance is not
-// a regression.
+// Every floor and ceiling of a key present in BOTH files is compared, in
+// the direction the baseline tags it; baseline values <= 0 are skipped.
+// Any regression fails the gate (exit 1). Keys on one side only (e.g. the
+// CI host lacks AVX2) print SKIP or NEW but do not fail the gate --
+// hardware variance is not a regression. Exit 2 when a file is unreadable
+// or in another format, or when no metric was compared at all (e.g. a
+// codec baseline against a transport run).
 //
-// The parser below is deliberately minimal: it only understands the flat
-// one-object-per-result layout our own writer produces, which keeps this
-// tool dependency-free (no JSON library in the image).
+// The parser is deliberately minimal: it reads only the one-row-per-line
+// layout write_rows produces, which keeps this tool dependency-free (no
+// JSON library in the image).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace {
 
-/// One comparable point: metric name -> value. Higher is better for every
-/// metric except the ones ceiling_metric() names.
-using Point = std::map<std::string, double>;
-using PointMap = std::map<std::string, Point>;  // key: schema-specific
+enum class Gate { kFloor, kCeiling };
 
-/// Metrics where LOWER is better (resource footprints, not throughput):
-/// the gate inverts for these and fails on growth past the tolerance.
-bool ceiling_metric(const std::string& name) {
-  return name == "bytes_per_object";
+struct Metric {
+  Gate gate;
+  double value;
+};
+
+using Row = std::map<std::string, Metric>;  // gated metric name -> value
+using Rows = std::map<std::string, Row>;    // row key -> metrics
+
+/// The quoted string starting at or after `*at` in `s`, or "" if none;
+/// advances `*at` past its closing quote.
+std::string next_string(const std::string& s, size_t* at) {
+  const size_t open = s.find('"', *at);
+  if (open == std::string::npos) return "";
+  const size_t close = s.find('"', open + 1);
+  if (close == std::string::npos) return "";
+  *at = close + 1;
+  return s.substr(open + 1, close - open - 1);
 }
 
-/// Extracts the numeric value following `"key":` in `obj`, or -1.
-double find_number(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = obj.find(needle);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(obj.c_str() + at + needle.size(), nullptr);
+/// Adds the metrics of `line`'s `"tag": {"name": value, ...}` group to `row`.
+void parse_group(const std::string& line, const char* tag, Gate gate, Row* row) {
+  const std::string needle = std::string("\"") + tag + "\": {";
+  size_t at = line.find(needle);
+  if (at == std::string::npos) return;
+  at += needle.size();
+  const size_t end = line.find('}', at);
+  while (at < end) {
+    const std::string name = next_string(line, &at);
+    if (name.empty() || at > end) return;
+    const size_t colon = line.find(':', at);
+    if (colon >= end) return;
+    char* stop = nullptr;
+    const double value = std::strtod(line.c_str() + colon + 1, &stop);
+    (*row)[name] = Metric{gate, value};
+    at = static_cast<size_t>(stop - line.c_str());
+  }
 }
 
-/// Extracts the quoted string following `"key":` in `obj`, or "".
-std::string find_string(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  size_t at = obj.find(needle);
-  if (at == std::string::npos) return "";
-  at = obj.find('"', at + needle.size());
-  if (at == std::string::npos) return "";
-  const size_t end = obj.find('"', at + 1);
-  if (end == std::string::npos) return "";
-  return obj.substr(at + 1, end - at - 1);
-}
-
-bool load(const std::string& path, PointMap* out, std::string* schema) {
+bool load(const std::string& path, Rows* out) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_regress: cannot read %s\n", path.c_str());
     return false;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  *schema = find_string(text, "schema");
-
-  // Walk the result objects: each is a brace-delimited span after "results".
-  size_t pos = text.find("\"results\"");
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "bench_regress: %s has no results array\n", path.c_str());
+  std::string line;
+  if (!std::getline(in, line) ||
+      line.find("\"schema\": \"bftreg-bench-rows-v1\"") == std::string::npos) {
+    std::fprintf(stderr, "bench_regress: %s is not a bftreg-bench-rows-v1 file\n",
+                 path.c_str());
     return false;
   }
-  const bool client_schema = *schema == "bftreg-bench-client-v1";
-  const bool transport_schema = *schema == "bftreg-bench-transport-v1";
-  const bool objects_schema = *schema == "bftreg-bench-objects-v1";
-  while ((pos = text.find('{', pos + 1)) != std::string::npos) {
-    const size_t end = text.find('}', pos);
-    if (end == std::string::npos) break;
-    const std::string obj = text.substr(pos, end - pos + 1);
-    pos = end;
-
-    char key[128];
-    Point p;
-    if (client_schema) {
-      const std::string protocol = find_string(obj, "protocol");
-      const double depth = find_number(obj, "depth");
-      if (protocol.empty() || depth < 0) continue;
-      std::snprintf(key, sizeof(key), "protocol=%s/depth=%d", protocol.c_str(),
-                    static_cast<int>(depth));
-      p["ops_per_ms"] = find_number(obj, "ops_per_ms");
-    } else if (transport_schema) {
-      const std::string transport = find_string(obj, "transport");
-      const double size = find_number(obj, "size");
-      if (transport.empty() || size < 0) continue;
-      int len = std::snprintf(key, sizeof(key), "transport=%s/size=%d/fanin=%d",
-                              transport.c_str(), static_cast<int>(size),
-                              static_cast<int>(find_number(obj, "fanin")));
-      // Shard-sweep rows carry an extra "shards" field; base-grid rows omit
-      // it so their keys keep matching baselines written before the sweep
-      // existed.
-      const double shards = find_number(obj, "shards");
-      if (shards > 0 && len > 0 && static_cast<size_t>(len) < sizeof(key)) {
-        std::snprintf(key + len, sizeof(key) - static_cast<size_t>(len),
-                      "/shards=%d", static_cast<int>(shards));
-      }
-      p["msgs_per_sec"] = find_number(obj, "msgs_per_sec");
-      p["mbps"] = find_number(obj, "mbps");
-    } else if (objects_schema) {
-      const std::string store = find_string(obj, "store");
-      const std::string workload = find_string(obj, "workload");
-      if (store.empty() || workload.empty()) continue;
-      std::snprintf(key, sizeof(key),
-                    "store=%s/workload=%s/dist=%s/keys=%d/size=%d",
-                    store.c_str(), workload.c_str(),
-                    find_string(obj, "dist").c_str(),
-                    static_cast<int>(find_number(obj, "keys")),
-                    static_cast<int>(find_number(obj, "size")));
-      // Footprint rows carry bytes_per_object, throughput rows ops_per_sec;
-      // find_number's -1 for the absent one is dropped by the <= 0 guard in
-      // the comparison loop.
-      p["ops_per_sec"] = find_number(obj, "ops_per_sec");
-      p["bytes_per_object"] = find_number(obj, "bytes_per_object");
-    } else {
-      const std::string kernel = find_string(obj, "kernel");
-      const double n = find_number(obj, "n");
-      if (kernel.empty() || n < 0) continue;
-      std::snprintf(key, sizeof(key), "n=%d/f=%d/size=%d/kernel=%s",
-                    static_cast<int>(n), static_cast<int>(find_number(obj, "f")),
-                    static_cast<int>(find_number(obj, "size")), kernel.c_str());
-      p["encode"] = find_number(obj, "encode_mbps");
-      p["decode_clean"] = find_number(obj, "decode_clean_mbps");
-      p["decode_adv"] = find_number(obj, "decode_adv_mbps");
-    }
-    (*out)[key] = p;
+  while (std::getline(in, line)) {
+    size_t at = line.find("\"key\":");
+    if (at == std::string::npos) continue;
+    at += 6;
+    const std::string key = next_string(line, &at);
+    if (key.empty()) continue;
+    Row& row = (*out)[key];
+    parse_group(line, "floor", Gate::kFloor, &row);
+    parse_group(line, "ceiling", Gate::kCeiling, &row);  // info is never read
   }
   return true;
 }
@@ -180,16 +118,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  PointMap base, cur;
-  std::string base_schema, cur_schema;
-  if (!load(base_path, &base, &base_schema) || !load(cur_path, &cur, &cur_schema)) {
-    return 2;
-  }
-  if (base_schema != cur_schema) {
-    std::fprintf(stderr, "bench_regress: schema mismatch (%s vs %s)\n",
-                 base_schema.c_str(), cur_schema.c_str());
-    return 2;
-  }
+  Rows base, cur;
+  if (!load(base_path, &base) || !load(cur_path, &cur)) return 2;
 
   int regressions = 0;
   int compared = 0;
@@ -199,25 +129,22 @@ int main(int argc, char** argv) {
       std::printf("SKIP  %-48s (absent in current run)\n", key.c_str());
       continue;
     }
-    const Point& c = it->second;
-    for (const auto& [name, base_v] : b) {
+    const Row& c = it->second;
+    for (const auto& [name, metric] : b) {
+      const double base_v = metric.value;
       if (base_v <= 0) continue;
       const auto cur_it = c.find(name);
       if (cur_it == c.end()) continue;
-      const double cur_v = cur_it->second;
+      const double cur_v = cur_it->second.value;
       ++compared;
       const double delta = (cur_v - base_v) / base_v * 100.0;
-      const bool regressed = ceiling_metric(name)
+      const bool regressed = metric.gate == Gate::kCeiling
                                  ? cur_v > base_v * (1.0 + max_regress)
                                  : cur_v < base_v * (1.0 - max_regress);
-      if (regressed) {
-        ++regressions;
-        std::printf("FAIL  %-48s %-13s %8.1f -> %8.1f (%+.1f%%)\n",
-                    key.c_str(), name.c_str(), base_v, cur_v, delta);
-      } else {
-        std::printf("ok    %-48s %-13s %8.1f -> %8.1f (%+.1f%%)\n",
-                    key.c_str(), name.c_str(), base_v, cur_v, delta);
-      }
+      if (regressed) ++regressions;
+      std::printf("%-5s %-48s %-17s %8.1f -> %8.1f (%+.1f%%)\n",
+                  regressed ? "FAIL" : "ok", key.c_str(), name.c_str(), base_v,
+                  cur_v, delta);
     }
   }
   for (const auto& [key, _] : cur) {
@@ -227,5 +154,11 @@ int main(int argc, char** argv) {
   }
   std::printf("bench_regress: %d metrics compared, %d regressed more than %.0f%%\n",
               compared, regressions, max_regress * 100.0);
+  if (compared == 0) {
+    std::fprintf(stderr,
+                 "bench_regress: no metric compared -- the files share no "
+                 "gated key\n");
+    return 2;
+  }
   return regressions > 0 ? 1 : 0;
 }
