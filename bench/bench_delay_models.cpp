@@ -45,9 +45,9 @@ struct Lat {
   double write_med;
 };
 
-Lat run(harness::Protocol protocol, DelayKind kind, uint64_t seed) {
+Lat run(ProtocolVariant protocol, DelayKind kind, uint64_t seed) {
   const size_t f = 1;
-  const size_t n = harness::min_servers(protocol, f);
+  const size_t n = registers::min_servers(protocol, f);
   harness::ClusterOptions o = make_options(protocol, n, f, seed, 500, 1500);
   harness::SimCluster cluster(o);
   // Swap in the requested delay model via the scripted wrapper's hook
@@ -79,10 +79,10 @@ int main() {
   for (DelayKind kind :
        {DelayKind::kUniform, DelayKind::kExponential, DelayKind::kLognormal}) {
     for (auto protocol :
-         {harness::Protocol::kBsr, harness::Protocol::kBsr2R,
-          harness::Protocol::kRb}) {
+         {ProtocolVariant::kBsr, ProtocolVariant::kBsrTwoRound,
+          ProtocolVariant::kRb}) {
       const auto lat = run(protocol, kind, 5);
-      table.add_row({to_string(kind), harness::to_string(protocol),
+      table.add_row({to_string(kind), to_string(protocol),
                      fmt_us(lat.read_med), fmt_us(lat.read_p99),
                      fmt_us(lat.write_med)});
     }

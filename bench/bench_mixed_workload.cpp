@@ -32,9 +32,9 @@ struct MixResult {
   double mean_write_us{0};
 };
 
-MixResult run_mix(harness::Protocol protocol, size_t f, double read_ratio,
+MixResult run_mix(ProtocolVariant protocol, size_t f, double read_ratio,
                   size_t total_ops, uint64_t seed) {
-  const size_t n = harness::min_servers(protocol, f);
+  const size_t n = registers::min_servers(protocol, f);
   auto options = make_options(protocol, n, f, seed, 500, 1500);
   options.num_writers = 2;
   options.num_readers = 2;
@@ -180,9 +180,9 @@ int main(int argc, char** argv) {
   std::printf("1000 ops per cell, uniform delay 500-1500 ns, f = 1\n\n");
 
   const double ratios[] = {0.5, 0.9, 0.998};
-  const harness::Protocol protocols[] = {
-      harness::Protocol::kBsr, harness::Protocol::kBsrHistory,
-      harness::Protocol::kBsr2R, harness::Protocol::kBcsr, harness::Protocol::kRb};
+  const ProtocolVariant protocols[] = {
+      ProtocolVariant::kBsr, ProtocolVariant::kBsrHistory,
+      ProtocolVariant::kBsrTwoRound, ProtocolVariant::kBcsr, ProtocolVariant::kRb};
 
   TextTable table({"protocol", "read ratio", "ops/ms (virtual)", "mean read (us)",
                    "mean write (us)"});

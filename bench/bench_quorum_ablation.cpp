@@ -25,7 +25,7 @@ AblationResult run_witness_ablation(size_t threshold, size_t trials) {
   size_t violations = 0;
   for (uint64_t seed = 1; seed <= trials; ++seed) {
     harness::ClusterOptions o =
-        make_options(harness::Protocol::kBsr, 5, 1, seed, 500, 1500);
+        make_options(ProtocolVariant::kBsr, 5, 1, seed, 500, 1500);
     o.config.witness_threshold_override = threshold;
     o.num_writers = 1;
     o.num_readers = 1;
@@ -47,7 +47,7 @@ AblationResult run_witness_ablation(size_t threshold, size_t trials) {
 
 AblationResult run_tag_rank_ablation(size_t rank) {
   harness::ClusterOptions o =
-      make_options(harness::Protocol::kBsr, 5, 1, 3, 500, 1500);
+      make_options(ProtocolVariant::kBsr, 5, 1, 3, 500, 1500);
   o.config.tag_rank_override = rank;
   o.num_writers = 1;
   o.num_readers = 1;

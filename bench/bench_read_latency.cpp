@@ -17,22 +17,22 @@ int main() {
   std::printf("fixed one-way delay = 1000 ns => 1 round == 2000 ns\n\n");
 
   const struct {
-    harness::Protocol protocol;
+    ProtocolVariant protocol;
     size_t f;
   } rows[] = {
-      {harness::Protocol::kBsr, 1},        {harness::Protocol::kBsr, 2},
-      {harness::Protocol::kBsr, 3},        {harness::Protocol::kBsrHistory, 1},
-      {harness::Protocol::kBsrHistory, 2}, {harness::Protocol::kBsr2R, 1},
-      {harness::Protocol::kBsr2R, 2},      {harness::Protocol::kBcsr, 1},
-      {harness::Protocol::kBcsr, 2},       {harness::Protocol::kRb, 1},
-      {harness::Protocol::kRb, 2},         {harness::Protocol::kBsrWb, 1},
-      {harness::Protocol::kBsrWb, 2},
+      {ProtocolVariant::kBsr, 1},          {ProtocolVariant::kBsr, 2},
+      {ProtocolVariant::kBsr, 3},          {ProtocolVariant::kBsrHistory, 1},
+      {ProtocolVariant::kBsrHistory, 2},   {ProtocolVariant::kBsrTwoRound, 1},
+      {ProtocolVariant::kBsrTwoRound, 2},  {ProtocolVariant::kBcsr, 1},
+      {ProtocolVariant::kBcsr, 2},         {ProtocolVariant::kRb, 1},
+      {ProtocolVariant::kRb, 2},           {ProtocolVariant::kBsrWriteBack, 1},
+      {ProtocolVariant::kBsrWriteBack, 2},
   };
 
   TextTable table({"protocol", "n", "f", "read rounds", "quiescent med (us)",
                    "worst-phase med (us)", "worst-phase p99 (us)"});
   for (const auto& row : rows) {
-    const size_t n = harness::min_servers(row.protocol, row.f);
+    const size_t n = registers::min_servers(row.protocol, row.f);
     // Fixed delay: exact round counting.
     const auto fixed =
         run_quiescent(row.protocol, n, row.f, 50, 1, 1000, 1000);

@@ -25,7 +25,7 @@ struct RegResult {
   double read_rounds{1};
 };
 
-RegResult random_regularity(harness::Protocol protocol, size_t trials) {
+RegResult random_regularity(ProtocolVariant protocol, size_t trials) {
   size_t regular = 0;
   size_t safe = 0;
   size_t atomic = 0;
@@ -79,7 +79,7 @@ RegResult random_regularity(harness::Protocol protocol, size_t trials) {
     bytes_sum += static_cast<double>(cluster.sim().metrics().snapshot().bytes_sent);
 
     checker::CheckOptions copts;
-    copts.reads_report_tags = protocol != harness::Protocol::kBcsr;
+    copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
     if (checker::check_safety(cluster.recorder().ops(), copts).ok) ++safe;
     if (checker::check_regularity(cluster.recorder().ops(), copts).ok) ++regular;
     if (checker::check_atomicity(cluster.recorder().ops(), copts).ok) ++atomic;
@@ -93,8 +93,6 @@ RegResult random_regularity(harness::Protocol protocol, size_t trials) {
   return out;
 }
 
-const char* short_name(harness::Protocol p) { return harness::to_string(p); }
-
 }  // namespace
 
 int main() {
@@ -102,8 +100,8 @@ int main() {
 
   std::printf("part 1: the exact Theorem 3 schedule (n=5, f=1)\n");
   TextTable t1({"protocol", "read returned", "safe (Def.1)", "regular (Def.2)"});
-  for (auto protocol : {harness::Protocol::kBsr, harness::Protocol::kBsrHistory,
-                        harness::Protocol::kBsr2R}) {
+  for (auto protocol : {ProtocolVariant::kBsr, ProtocolVariant::kBsrHistory,
+                        ProtocolVariant::kBsrTwoRound}) {
     harness::ClusterOptions o;
     o.protocol = protocol;
     o.config.n = 5;
@@ -117,7 +115,7 @@ int main() {
     const bool safe = checker::check_safety(cluster.recorder().ops(), copts).ok;
     const bool regular =
         checker::check_regularity(cluster.recorder().ops(), copts).ok;
-    t1.add_row({short_name(protocol),
+    t1.add_row({to_string(protocol),
                 r.value.empty() ? "v0  <-- slid back!"
                                 : std::string(r.value.begin(), r.value.end()),
                 safe ? "yes" : "NO", regular ? "yes" : "NO"});
@@ -127,10 +125,11 @@ int main() {
   std::printf("part 2: randomized concurrent executions (40 seeds each)\n");
   TextTable t2({"protocol", "safe %", "regular %", "atomic %", "avg read rounds",
                 "avg exec bytes"});
-  for (auto protocol : {harness::Protocol::kBsr, harness::Protocol::kBsrHistory,
-                        harness::Protocol::kBsr2R, harness::Protocol::kBsrWb}) {
+  for (auto protocol : {ProtocolVariant::kBsr, ProtocolVariant::kBsrHistory,
+                        ProtocolVariant::kBsrTwoRound,
+                        ProtocolVariant::kBsrWriteBack}) {
     const auto res = random_regularity(protocol, 40);
-    t2.add_row({short_name(protocol), TextTable::fmt(res.safe_pct, 0),
+    t2.add_row({to_string(protocol), TextTable::fmt(res.safe_pct, 0),
                 TextTable::fmt(res.regular_pct, 0),
                 TextTable::fmt(res.atomic_pct, 0),
                 TextTable::fmt(res.read_rounds, 2),

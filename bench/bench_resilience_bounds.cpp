@@ -19,7 +19,7 @@ namespace {
 
 std::string theorem5_verdict(size_t n, size_t f) {
   harness::ClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = n;
   o.config.f = f;
   o.num_writers = 2;
@@ -59,7 +59,7 @@ double random_safety_rate(size_t n, size_t f, size_t trials) {
   size_t safe = 0;
   for (uint64_t seed = 1; seed <= trials; ++seed) {
     harness::ClusterOptions o =
-        make_options(harness::Protocol::kBsr, n, f, seed, 500, 1500);
+        make_options(ProtocolVariant::kBsr, n, f, seed, 500, 1500);
     o.num_writers = 2;
     o.num_readers = 2;
     harness::SimCluster cluster(o);

@@ -21,7 +21,8 @@ int main() {
   TextTable table({"protocol", "n", "f", "read med (us)", "write med (us)",
                    "msgs/read", "msgs/write", "read rounds"});
 
-  auto measure = [&](harness::Protocol protocol, size_t n, size_t f) {
+  auto measure = [&](ProtocolVariant protocol, size_t f) {
+    const size_t n = registers::min_servers(protocol, f);
     harness::SimCluster cluster(make_options(protocol, n, f, 3, 500, 1500));
     // Warm up one write so reads have something to fetch.
     cluster.write(0, workload::make_value(1, 0, 64));
@@ -57,14 +58,14 @@ int main() {
 
   for (size_t f : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{10},
                    size_t{15}}) {
-    measure(harness::Protocol::kBsr, 4 * f + 1, f);
+    measure(ProtocolVariant::kBsr, f);
   }
   for (size_t f : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{10}}) {
-    measure(harness::Protocol::kBcsr, 5 * f + 1, f);
+    measure(ProtocolVariant::kBcsr, f);
   }
   for (size_t f : {size_t{1}, size_t{3}, size_t{5}, size_t{10}, size_t{15},
                    size_t{20}}) {
-    measure(harness::Protocol::kRb, 3 * f + 1, f);
+    measure(ProtocolVariant::kRb, f);
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

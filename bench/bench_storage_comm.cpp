@@ -19,7 +19,7 @@ struct CostRow {
   uint64_t read_bytes;
 };
 
-CostRow run_cost(harness::Protocol protocol, size_t n, size_t f,
+CostRow run_cost(ProtocolVariant protocol, size_t n, size_t f,
                  size_t value_size) {
   auto options = make_options(protocol, n, f, 11, 500, 1500);
   options.config.store_policy = registers::StorePolicy::kMaxOnly;
@@ -60,8 +60,8 @@ int main() {
                    "write bytes", "read bytes", "theory"});
   for (const size_t size : {size_t{1} << 10, size_t{16} << 10, size_t{256} << 10,
                             size_t{1} << 20}) {
-    const auto bsr = run_cost(harness::Protocol::kBsr, 5, 1, size);
-    const auto bcsr = run_cost(harness::Protocol::kBcsr, 11, 1, size);
+    const auto bsr = run_cost(ProtocolVariant::kBsr, 5, 1, size);
+    const auto bcsr = run_cost(ProtocolVariant::kBcsr, 11, 1, size);
     const double v = static_cast<double>(size);
     table.add_row({std::to_string(size >> 10) + " KiB", "BSR n=5",
                    std::to_string(bsr.stored),

@@ -21,6 +21,8 @@
 
 namespace bftreg::bench {
 
+using registers::ProtocolVariant;
+
 /// The shared command-line surface of the bench binaries. Every binary
 /// accepts the same four flags with the same spellings and semantics --
 /// CI and tools/bench_regress drive all of them identically:
@@ -122,7 +124,7 @@ inline bool write_rows(const std::string& path, bool quick,
   return true;
 }
 
-inline harness::ClusterOptions make_options(harness::Protocol protocol, size_t n,
+inline harness::ClusterOptions make_options(ProtocolVariant protocol, size_t n,
                                             size_t f, uint64_t seed,
                                             TimeNs delay_lo, TimeNs delay_hi) {
   harness::ClusterOptions o;
@@ -146,7 +148,7 @@ struct LatencySamples {
 /// Quiescent workload: alternating writes and reads, nothing concurrent.
 /// With delay_lo == delay_hi the read latency divided by the delay is the
 /// protocol's exact round count.
-inline LatencySamples run_quiescent(harness::Protocol protocol, size_t n, size_t f,
+inline LatencySamples run_quiescent(ProtocolVariant protocol, size_t n, size_t f,
                                     size_t ops, uint64_t seed, TimeNs delay_lo,
                                     TimeNs delay_hi, size_t value_size = 64) {
   harness::SimCluster cluster(
@@ -169,7 +171,7 @@ inline LatencySamples run_quiescent(harness::Protocol protocol, size_t n, size_t
 /// phase of the write's dissemination (get-tag, put-data in flight,
 /// servers split old/new) and find the protocol's worst read-arrival
 /// phase.
-inline LatencySamples run_contended(harness::Protocol protocol, size_t n, size_t f,
+inline LatencySamples run_contended(ProtocolVariant protocol, size_t n, size_t f,
                                     size_t ops, uint64_t seed, TimeNs delay_lo,
                                     TimeNs delay_hi, TimeNs offset,
                                     size_t value_size = 64) {
@@ -195,7 +197,7 @@ inline LatencySamples run_contended(harness::Protocol protocol, size_t n, size_t
 /// Worst-phase contended read latency: sweeps the read's arrival offset
 /// across the whole write (0..8 mean one-way delays) and returns the
 /// samples of the worst offset by median.
-inline LatencySamples run_contended_worst(harness::Protocol protocol, size_t n,
+inline LatencySamples run_contended_worst(ProtocolVariant protocol, size_t n,
                                           size_t f, size_t ops_per_offset,
                                           uint64_t seed, TimeNs delay_lo,
                                           TimeNs delay_hi) {

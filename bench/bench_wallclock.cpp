@@ -25,10 +25,10 @@ struct WallResult {
   double concurrent_ops_per_s;
 };
 
-WallResult run(harness::Protocol protocol, size_t f) {
+WallResult run(ProtocolVariant protocol, size_t f) {
   harness::ThreadClusterOptions o;
   o.protocol = protocol;
-  o.config.n = harness::min_servers(protocol, f);
+  o.config.n = registers::min_servers(protocol, f);
   o.config.f = f;
   o.num_writers = 2;
   o.num_readers = 2;
@@ -86,12 +86,12 @@ int main() {
                    "4-client ops/s"});
   const size_t f = 1;
   for (auto protocol :
-       {harness::Protocol::kBsr, harness::Protocol::kBsrHistory,
-        harness::Protocol::kBsr2R, harness::Protocol::kBcsr,
-        harness::Protocol::kRb, harness::Protocol::kBsrWb}) {
+       {ProtocolVariant::kBsr, ProtocolVariant::kBsrHistory,
+        ProtocolVariant::kBsrTwoRound, ProtocolVariant::kBcsr,
+        ProtocolVariant::kRb, ProtocolVariant::kBsrWriteBack}) {
     const auto res = run(protocol, f);
-    table.add_row({harness::to_string(protocol),
-                   std::to_string(harness::min_servers(protocol, f)),
+    table.add_row({to_string(protocol),
+                   std::to_string(registers::min_servers(protocol, f)),
                    TextTable::fmt(res.read_med_us, 0),
                    TextTable::fmt(res.write_med_us, 0),
                    TextTable::fmt(res.concurrent_ops_per_s, 0)});

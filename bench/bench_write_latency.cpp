@@ -14,26 +14,26 @@ int main() {
   std::printf("fixed one-way delay = 1000 ns; BSR write = 2 rounds = 4000 ns\n\n");
 
   const struct {
-    harness::Protocol protocol;
+    ProtocolVariant protocol;
     size_t f;
   } rows[] = {
-      {harness::Protocol::kBsr, 1},  {harness::Protocol::kBsr, 2},
-      {harness::Protocol::kBsr, 3},  {harness::Protocol::kBcsr, 1},
-      {harness::Protocol::kBcsr, 2}, {harness::Protocol::kBsrHistory, 1},
-      {harness::Protocol::kBsr2R, 1},
-      {harness::Protocol::kRb, 1},   {harness::Protocol::kRb, 2},
-      {harness::Protocol::kRb, 3},
+      {ProtocolVariant::kBsr, 1},  {ProtocolVariant::kBsr, 2},
+      {ProtocolVariant::kBsr, 3},  {ProtocolVariant::kBcsr, 1},
+      {ProtocolVariant::kBcsr, 2}, {ProtocolVariant::kBsrHistory, 1},
+      {ProtocolVariant::kBsrTwoRound, 1},
+      {ProtocolVariant::kRb, 1},   {ProtocolVariant::kRb, 2},
+      {ProtocolVariant::kRb, 3},
   };
 
   TextTable table({"protocol", "n", "f", "write delays (fixed d)",
                    "random med (us)", "random p99 (us)", "vs BSR"});
   double bsr_fixed = 0;
   for (const auto& row : rows) {
-    const size_t n = harness::min_servers(row.protocol, row.f);
+    const size_t n = registers::min_servers(row.protocol, row.f);
     const auto fixed = run_quiescent(row.protocol, n, row.f, 50, 1, 1000, 1000);
     const auto rnd = run_quiescent(row.protocol, n, row.f, 200, 2, 500, 1500);
     const double delays = fixed.writes.median() / 1000.0;  // one-way units
-    if (row.protocol == harness::Protocol::kBsr && row.f == 1) bsr_fixed = delays;
+    if (row.protocol == ProtocolVariant::kBsr && row.f == 1) bsr_fixed = delays;
     table.add_row({to_string(row.protocol), std::to_string(n),
                    std::to_string(row.f), TextTable::fmt(delays, 1),
                    fmt_us(rnd.writes.median()), fmt_us(rnd.writes.p99()),

@@ -16,6 +16,7 @@
 #include "workload/workload.h"
 
 using namespace bftreg;
+using registers::ProtocolVariant;
 
 namespace {
 
@@ -26,7 +27,7 @@ struct Footprint {
   bool reads_ok{true};
 };
 
-Footprint run_archive(harness::Protocol protocol, size_t n, size_t f,
+Footprint run_archive(ProtocolVariant protocol, size_t n, size_t f,
                       size_t doc_size, size_t docs) {
   harness::ClusterOptions o;
   o.protocol = protocol;
@@ -39,7 +40,7 @@ Footprint run_archive(harness::Protocol protocol, size_t n, size_t f,
   o.num_readers = 1;
   o.seed = 99;
   harness::SimCluster cluster(o);
-  if (protocol == harness::Protocol::kBcsr) {
+  if (protocol == ProtocolVariant::kBcsr) {
     cluster.set_byzantine(0, adversary::StrategyKind::kFabricate);
   }
 
@@ -79,11 +80,11 @@ int main() {
   std::printf("document archive: %zu docs x %zu KiB, f = %zu\n\n", kDocs,
               kDocSize / 1024, kF);
 
-  const auto repl = run_archive(harness::Protocol::kBsr, n_bsr, kF, kDocSize, kDocs);
+  const auto repl = run_archive(ProtocolVariant::kBsr, n_bsr, kF, kDocSize, kDocs);
   const auto coded =
-      run_archive(harness::Protocol::kBcsr, n_wide, kF, kDocSize, kDocs);
+      run_archive(ProtocolVariant::kBcsr, n_wide, kF, kDocSize, kDocs);
   const auto coded_min =
-      run_archive(harness::Protocol::kBcsr, n_bcsr, kF, kDocSize, kDocs);
+      run_archive(ProtocolVariant::kBcsr, n_bcsr, kF, kDocSize, kDocs);
 
   std::printf("%-26s %14s %14s %14s\n", "", "BSR n=5 (repl)", "BCSR n=11 k=6",
               "BCSR n=6 k=1");

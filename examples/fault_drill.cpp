@@ -28,7 +28,7 @@ Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 bool drill(adversary::StrategyKind kind) {
   harness::ClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = registers::ProtocolVariant::kBsr;
   o.config.n = 9;
   o.config.f = 2;
   o.num_writers = 2;
@@ -64,7 +64,7 @@ int main() {
 
   std::printf("== part 2: the Theorem 5 schedule at n = 4f (one server short) ====\n");
   harness::ClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = registers::ProtocolVariant::kBsr;
   o.config.n = 4;
   o.config.f = 1;
   o.num_writers = 2;

@@ -43,7 +43,7 @@ ChurnSchedule crash_during_read_writeback_schedule(size_t victim) {
   s.name = "crash-during-read-writeback";
   s.steps = {
       {ChurnAction::kStartWrite, 0, 0},
-      // A kBsrWb read starts at 4000ns (the write has finished by ~3000);
+      // A kBsrWriteBack read starts at 4000ns (the write has finished by ~3000);
       // 700ns into the read its get-data quorum is complete or nearly so,
       // and the crash lands on the write-back put.
       {ChurnAction::kStartRead, 0, 4'000},

@@ -15,7 +15,7 @@
 //   - crash DURING a write: the victim may have ACKed the put and then lost
 //     the quorum its ACK was counted toward;
 //   - crash during a read's write-back: same hazard on the read side
-//     (kBsrWb's phase 2 is a put);
+//     (kBsrWriteBack's phase 2 is a put);
 //   - rejoin MID-ROUND: the recovered server answers client rounds while
 //     its catch-up traffic is still interleaving with them.
 #pragma once
@@ -58,7 +58,7 @@ struct ChurnSchedule {
 ChurnSchedule crash_during_write_schedule(size_t victim);
 
 /// Crash the victim between a write-back read's get-data and its put-data
-/// phase (run under Protocol::kBsrWb), then rejoin and re-read.
+/// phase (run under ProtocolVariant::kBsrWriteBack), then rejoin and re-read.
 ChurnSchedule crash_during_read_writeback_schedule(size_t victim);
 
 /// Rejoin the victim while a client round is mid-flight, so catch-up

@@ -1,10 +1,11 @@
 // Experiment harness: assemble a full register emulation in the simulator.
 //
-// A SimCluster instantiates n servers (honest RegisterServer / RbServer, or
-// Byzantine ByzantineServer at chosen positions), plus one RegisterClient
-// per writer and reader slot speaking the selected protocol (each slot
-// keeps the paper's one-operation-per-client rule), wires everything to a
-// seeded deterministic Simulator, and records every operation into an
+// A SimCluster assembles (harness/assembly.h) n servers (honest
+// RegisterServer / RbServer, or Byzantine ByzantineServer at chosen
+// positions), plus one RegisterClient per writer and reader slot speaking
+// the selected protocol (each slot keeps the paper's
+// one-operation-per-client rule), wires everything to a seeded
+// deterministic Simulator, and records every operation into an
 // ExecutionRecorder so the checkers can pass judgment afterwards. It is
 // used by the integration tests, the property tests, every bench binary,
 // and the examples.
@@ -19,34 +20,14 @@
 
 #include "adversary/byzantine_server.h"
 #include "checker/execution.h"
+#include "harness/assembly.h"
 #include "registers/registers.h"
 #include "sim/simulator.h"
 
-namespace bftreg::storage {
-class PersistentRegisterServer;
-}
-
 namespace bftreg::harness {
 
-enum class Protocol {
-  kBsr,         // Section III: replicated, one-shot reads, n >= 4f+1
-  kBsrHistory,  // Section III-C option 1: regular, history reads
-  kBsr2R,       // Section III-C option 2: regular, two-round reads
-  kBcsr,        // Section IV: erasure-coded, one-shot reads, n >= 5f+1
-  kRb,          // baseline: RB-based, n >= 3f+1
-  kBsrWb,       // extension: write-back reads, atomic, two rounds
-};
-
-const char* to_string(Protocol p);
-
-/// Minimum servers the protocol needs for f Byzantine faults.
-size_t min_servers(Protocol p, size_t f);
-
-/// The RegisterClient variant that speaks `p`.
-registers::ProtocolVariant to_variant(Protocol p);
-
 struct ClusterOptions {
-  Protocol protocol{Protocol::kBsr};
+  registers::ProtocolVariant protocol{registers::ProtocolVariant::kBsr};
   registers::SystemConfig config{};
   size_t num_writers{1};
   size_t num_readers{1};
@@ -114,7 +95,9 @@ class SimCluster {
 
   /// The WAL-backed server at `index`; nullptr when wal_dir is unset or the
   /// slot is Byzantine.
-  storage::PersistentRegisterServer* persistent_server(size_t index);
+  storage::PersistentRegisterServer* persistent_server(size_t index) {
+    return assembly_.persistent_server(index);
+  }
 
   /// Has the lowest-indexed live honest server broadcast
   /// VIEW-ANNOUNCE(epoch, members) to all servers and clients (an empty
@@ -128,7 +111,7 @@ class SimCluster {
   const ClusterOptions& options() const { return options_; }
 
   /// The honest server at `index`, or nullptr if Byzantine / RB-protocol.
-  registers::RegisterServer* server(size_t index);
+  registers::RegisterServer* server(size_t index) { return assembly_.server(index); }
   /// Total bytes stored across honest servers (storage-cost metric, E4).
   size_t total_stored_bytes() const;
 
@@ -136,25 +119,10 @@ class SimCluster {
   ProcessId reader_id(size_t index) const { return ProcessId::reader(static_cast<uint32_t>(index)); }
 
  private:
-  Bytes initial_for_server(size_t index) const;
-  std::string wal_path(size_t index) const;
-  void build();
-
   ClusterOptions options_;
   std::unique_ptr<sim::Simulator> sim_;
   checker::ExecutionRecorder recorder_;
-
-  std::vector<std::unique_ptr<net::IProcess>> servers_;
-  std::vector<registers::RegisterServer*> honest_servers_;  // parallel, may hold nullptr
-  /// Parallel typed view of servers_ when wal_dir is set (else nullptr).
-  std::vector<storage::PersistentRegisterServer*> persistent_servers_;
-  /// Replaced server objects, kept alive until teardown: simulator events
-  /// queued before a restart may still reference them.
-  std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<registers::RegisterClient>> writers_;
-  std::vector<std::unique_ptr<registers::RegisterClient>> readers_;
-
-  std::vector<Bytes> initial_elements_;  // BCSR: Phi_i(v0)
+  Assembly assembly_;
 
   struct PendingWrite {
     bool done{false};

@@ -1,12 +1,13 @@
 // Wall-clock experiment harness: the SimCluster counterpart on real
 // threads.
 //
-// Same protocol selection and Byzantine placement as SimCluster, but the
-// processes run on runtime::ThreadNetwork (one mailbox thread per delivery
-// shard, real delays, wall-clock time) and operations are blocking calls
-// safe to issue from concurrent caller threads -- one caller per client,
-// per the model's one-operation-per-client rule. Used by bench_wallclock
-// and available to applications that want a ready-made deployment harness.
+// Same processes as SimCluster -- one shared Assembly (harness/assembly.h)
+// builds the servers, clients and Byzantine swaps -- but they run on
+// runtime::ThreadNetwork (one mailbox thread per delivery shard, real
+// delays, wall-clock time) and operations are blocking calls safe to issue
+// from concurrent caller threads -- one caller per client, per the model's
+// one-operation-per-client rule. Used by bench_wallclock and available to
+// applications that want a ready-made deployment harness.
 //
 // Sharded servers: set options.config.server_shards > 1 and each
 // RegisterServer splits its object table across that many mailbox threads
@@ -20,14 +21,14 @@
 #include <vector>
 
 #include "adversary/byzantine_server.h"
-#include "harness/sim_cluster.h"  // Protocol, min_servers, to_variant
+#include "harness/assembly.h"
 #include "registers/registers.h"
 #include "runtime/thread_network.h"
 
 namespace bftreg::harness {
 
 struct ThreadClusterOptions {
-  Protocol protocol{Protocol::kBsr};
+  registers::ProtocolVariant protocol{registers::ProtocolVariant::kBsr};
   registers::SystemConfig config{};
   size_t num_writers{1};
   size_t num_readers{1};
@@ -77,28 +78,21 @@ class ThreadCluster {
 
   /// The WAL-backed server at `index`; nullptr when wal_dir is unset or
   /// the slot is Byzantine.
-  storage::PersistentRegisterServer* persistent_server(size_t index);
+  storage::PersistentRegisterServer* persistent_server(size_t index) {
+    return assembly_.persistent_server(index);
+  }
 
   runtime::ThreadNetwork& net() { return *net_; }
   const ThreadClusterOptions& options() const { return options_; }
 
  private:
-  Bytes initial_for_server(size_t index) const;
-  std::string wal_path(size_t index) const;
-  void build();
   void start_impl();
 
   ThreadClusterOptions options_;
   std::unique_ptr<runtime::ThreadNetwork> net_;
-  std::vector<std::unique_ptr<net::IProcess>> servers_;
-  /// Parallel typed view of servers_ when wal_dir is set (else nullptr).
-  std::vector<storage::PersistentRegisterServer*> persistent_servers_;
-  /// Replaced server objects, kept alive until teardown: in-flight
-  /// MailItems may still carry their (never re-dereferenced) pointers.
-  std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<registers::RegisterClient>> writers_;
-  std::vector<std::unique_ptr<registers::RegisterClient>> readers_;
-  std::vector<Bytes> initial_elements_;
+  /// In-flight MailItems may still carry (never re-dereferenced) pointers
+  /// to servers restart_server() replaced; the assembly keeps those alive.
+  Assembly assembly_;
   std::once_flag start_once_;
   // Published by the call_once winner; read by set_byzantine's precondition
   // assert, which may run on a different thread than the one that started.

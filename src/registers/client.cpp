@@ -6,24 +6,6 @@
 
 namespace bftreg::registers {
 
-const char* to_string(ProtocolVariant v) {
-  switch (v) {
-    case ProtocolVariant::kBsr:
-      return "bsr";
-    case ProtocolVariant::kBsrHistory:
-      return "bsr-history";
-    case ProtocolVariant::kBsrTwoRound:
-      return "bsr-2r";
-    case ProtocolVariant::kBsrWriteBack:
-      return "bsr-wb";
-    case ProtocolVariant::kBcsr:
-      return "bcsr";
-    case ProtocolVariant::kRb:
-      return "rb";
-  }
-  return "?";
-}
-
 RegisterClient::RegisterClient(ProcessId self, SystemConfig config,
                                net::Transport* transport, ClientOptions options)
     : mux_(self, std::move(config), transport), options_(options) {
@@ -32,7 +14,8 @@ RegisterClient::RegisterClient(ProcessId self, SystemConfig config,
   // experiments (Theorem 5 drives BSR at n = 4f); applications get
   // validated configs from SystemConfig::Builder.
   if (options_.variant == ProtocolVariant::kBcsr) {
-    assert(mux_.config().valid_for_bcsr());
+    assert(mux_.config().n >=
+           min_servers(ProtocolVariant::kBcsr, mux_.config().f));
     code_ = codec::MdsCode::for_bcsr(mux_.config().n, mux_.config().f);
   }
 }

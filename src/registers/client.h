@@ -47,19 +47,6 @@
 
 namespace bftreg::registers {
 
-/// Which register emulation the client speaks (see registers.h for the
-/// paper mapping and the guarantee each buys).
-enum class ProtocolVariant : uint8_t {
-  kBsr = 0,        // replicated, one-shot safe reads (Section III)
-  kBsrHistory,     // one-shot regular reads via histories (III-C, option 1)
-  kBsrTwoRound,    // two-round regular reads (III-C, option 2)
-  kBsrWriteBack,   // two-round atomic reads (ABD write-back extension)
-  kBcsr,           // erasure-coded, one-shot safe reads (Section IV)
-  kRb,             // RB-based baseline, n >= 3f+1 (Section VI comparator)
-};
-
-const char* to_string(ProtocolVariant v);
-
 struct ClientOptions {
   ProtocolVariant variant{ProtocolVariant::kBsr};
   /// Deadline/retry policy applied to every operation (0 = no deadlines).

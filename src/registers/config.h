@@ -3,7 +3,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,64 @@ constexpr size_t rb_min_servers(size_t f) { return 3 * f + 1; }
 
 /// Dimension k = n - 5f of BCSR's [n, k] MDS code (Section IV).
 constexpr size_t bcsr_code_dimension(size_t n, size_t f) { return n - 5 * f; }
+
+/// The register emulations this library runs. Each is a client variant, a
+/// server kind and a resilience bound (see registers.h for the paper
+/// mapping and the guarantee each buys): kProtocolNames spells it and
+/// min_servers() gives its bound.
+enum class ProtocolVariant {
+  kBsr,           // replicated, one-shot safe reads (Section III)
+  kBsrHistory,    // one-shot regular reads via histories (III-C, option 1)
+  kBsrTwoRound,   // two-round regular reads (III-C, option 2)
+  kBcsr,          // erasure-coded, one-shot safe reads (Section IV)
+  kRb,            // RB-based baseline (Section VI comparator)
+  kBsrWriteBack,  // two-round atomic reads (ABD write-back extension)
+};
+
+struct ProtocolName {
+  ProtocolVariant variant;
+  /// Display name: bench tables, test names, bftreg_run's header.
+  const char* display;
+  /// Command-line key: bftreg_run --protocol=<key>.
+  const char* key;
+};
+
+/// The one name table.
+inline constexpr ProtocolName kProtocolNames[] = {
+    {ProtocolVariant::kBsr, "BSR", "bsr"},
+    {ProtocolVariant::kBsrHistory, "BSR-history", "history"},
+    {ProtocolVariant::kBsrTwoRound, "BSR-2R", "bsr2r"},
+    {ProtocolVariant::kBcsr, "BCSR", "bcsr"},
+    {ProtocolVariant::kRb, "RB-baseline", "rb"},
+    {ProtocolVariant::kBsrWriteBack, "BSR-WB", "wb"},
+};
+
+constexpr const char* to_string(ProtocolVariant v) {
+  for (const auto& p : kProtocolNames) {
+    if (p.variant == v) return p.display;
+  }
+  return "?";
+}
+
+/// The variant whose command-line key is `key`, if any.
+constexpr std::optional<ProtocolVariant> protocol_by_key(std::string_view key) {
+  for (const auto& p : kProtocolNames) {
+    if (key == p.key) return p.variant;
+  }
+  return std::nullopt;
+}
+
+/// Fewest servers `v` needs to tolerate f Byzantine faults.
+constexpr size_t min_servers(ProtocolVariant v, size_t f) {
+  switch (v) {
+    case ProtocolVariant::kBcsr:
+      return bcsr_min_servers(f);
+    case ProtocolVariant::kRb:
+      return rb_min_servers(f);
+    default:
+      return bsr_min_servers(f);
+  }
+}
 
 /// How a server maintains its list L of (tag, value) pairs.
 enum class StorePolicy : uint8_t {
@@ -104,17 +164,8 @@ struct SystemConfig {
     return out;
   }
 
-  /// BSR resilience requirement (Theorems 2 and 5).
-  bool valid_for_bsr() const { return n >= bsr_min_servers(f); }
-
-  /// BCSR resilience requirement (Lemma 4 and Theorem 6).
-  bool valid_for_bcsr() const { return n >= bcsr_min_servers(f); }
-
-  /// RB-based baseline requirement (Bracha broadcast bound).
-  bool valid_for_rb() const { return n >= rb_min_servers(f); }
-
   class Builder;
-  /// Fluent construction with centralized validation; the build_for_*
+  /// Fluent construction with centralized validation; the build_for
   /// terminals return Result instead of asserting, so tools and examples
   /// can report a bad (n, f) instead of aborting.
   static Builder builder();
@@ -125,10 +176,10 @@ struct SystemConfig {
 ///   auto config = SystemConfig::builder().n(5).f(1).build_for_bsr();
 ///   if (!config) { ...config.error().detail... }
 ///
-/// Validation is centralized here -- the bound checks delegate to the same
-/// bsr_min_servers/bcsr_min_servers/rb_min_servers helpers the protocols
-/// use (the only place the paper's k*f+1 literals may appear), so builder
-/// and protocol can never disagree on a resilience bound.
+/// Validation is centralized here -- the bound check delegates to the same
+/// min_servers() the protocols use (built on the only place the paper's
+/// k*f+1 literals may appear), so builder and protocol can never disagree
+/// on a resilience bound.
 class SystemConfig::Builder {
  public:
   Builder& n(size_t value) { config_.n = value; return *this; }
@@ -161,7 +212,7 @@ class SystemConfig::Builder {
   }
 
   /// Protocol-independent sanity only (clients of build() must check the
-  /// protocol bound themselves; prefer the build_for_* terminals).
+  /// protocol bound themselves; prefer the build_for terminals).
   Result<SystemConfig> build() const {
     if (config_.n == 0) {
       return Error{Errc::kInvalidArgument, "n must be positive"};
@@ -201,36 +252,37 @@ class SystemConfig::Builder {
     return config_;
   }
 
-  /// BSR: n >= 4f+1 (Theorems 2 and 5).
-  Result<SystemConfig> build_for_bsr() const {
-    return build_bounded(bsr_min_servers(config_.f), "BSR");
-  }
-
-  /// BCSR: n >= 5f+1 (Lemma 4 and Theorem 6).
-  Result<SystemConfig> build_for_bcsr() const {
-    return build_bounded(bcsr_min_servers(config_.f), "BCSR");
-  }
-
-  /// RB baseline: n >= 3f+1 (Bracha broadcast bound).
-  Result<SystemConfig> build_for_rb() const {
-    return build_bounded(rb_min_servers(config_.f), "RB");
-  }
-
- private:
-  Result<SystemConfig> build_bounded(size_t min_servers,
-                                     const char* protocol) const {
+  /// build() plus `v`'s resilience bound, n >= min_servers(v, f).
+  Result<SystemConfig> build_for(ProtocolVariant v) const {
     auto base = build();
     if (!base) return base;
-    if (config_.n < min_servers) {
+    const size_t bound = min_servers(v, config_.f);
+    if (config_.n < bound) {
       return Error{Errc::kInvalidArgument,
-                   std::string(protocol) + " needs n >= " +
-                       std::to_string(min_servers) + " at f=" +
+                   std::string(to_string(v)) + " needs n >= " +
+                       std::to_string(bound) + " at f=" +
                        std::to_string(config_.f) + ", got n=" +
                        std::to_string(config_.n)};
     }
     return base;
   }
 
+  /// BSR: n >= 4f+1 (Theorems 2 and 5).
+  Result<SystemConfig> build_for_bsr() const {
+    return build_for(ProtocolVariant::kBsr);
+  }
+
+  /// BCSR: n >= 5f+1 (Lemma 4 and Theorem 6).
+  Result<SystemConfig> build_for_bcsr() const {
+    return build_for(ProtocolVariant::kBcsr);
+  }
+
+  /// RB baseline: n >= 3f+1 (Bracha broadcast bound).
+  Result<SystemConfig> build_for_rb() const {
+    return build_for(ProtocolVariant::kRb);
+  }
+
+ private:
   SystemConfig config_{};
 };
 

@@ -54,7 +54,7 @@ RbServer::RbServer(ProcessId self, SystemConfig config, net::Transport* transpor
       transport_(transport),
       initial_(std::move(initial)),
       store_(initial_, StorePolicy::kAll, config_.max_history) {
-  assert(config_.valid_for_rb());
+  assert(config_.n >= min_servers(ProtocolVariant::kRb, config_.f));
   stored_bytes_ += store_.materialize(0).second;
   bracha_ = std::make_unique<broadcast::BrachaPeer>(
       self_, config_.servers(), config_.f,

@@ -7,8 +7,11 @@
 //   timeouts and capped retries. BlockingRegisterClient wraps it
 //   future-style for the real-time transports.
 //
-// Each variant's operations are PendingOps in protocol_ops.h, one per
-// figure of the paper, with the paper mapping on each class:
+// ProtocolVariant (config.h) is the one protocol identity: kProtocolNames
+// spells each variant's display name and command-line key, and
+// min_servers() gives its resilience bound. Each variant's operations are
+// PendingOps in protocol_ops.h, one per figure of the paper, with the paper
+// mapping on each class:
 //   kBsr         + RegisterServer -- MWMR replicated safe register, one-shot
 //                  reads, n >= 4f+1 (Section III, Figs. 1-3).
 //   kBcsr        + RegisterServer seeded with bcsr_initial_elements() --

@@ -14,11 +14,12 @@ namespace {
 using adversary::StrategyKind;
 using checker::CheckOptions;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 ClusterOptions bcsr_options(size_t n, size_t f, uint64_t seed = 1,
                             size_t readers = 2) {
   ClusterOptions o;
-  o.protocol = Protocol::kBcsr;
+  o.protocol = ProtocolVariant::kBcsr;
   o.config.n = n;
   o.config.f = f;
   o.config.initial_value = Bytes{};

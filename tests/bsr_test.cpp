@@ -15,13 +15,14 @@ using adversary::StrategyKind;
 using checker::CheckOptions;
 using checker::check_regularity;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 ClusterOptions bsr_options(size_t n, size_t f, uint64_t seed = 1,
                            size_t writers = 2, size_t readers = 2) {
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = n;
   o.config.f = f;
   o.num_writers = writers;

@@ -286,7 +286,7 @@ class TempWalDir {
   std::string path_;
 };
 
-harness::ClusterOptions churn_options(harness::Protocol protocol,
+harness::ClusterOptions churn_options(registers::ProtocolVariant protocol,
                                       const std::string& wal_dir,
                                       uint64_t seed) {
   harness::ClusterOptions o;
@@ -303,7 +303,7 @@ TEST(ChurnCheckerTest, CrashDuringWriteStaysSafeAndRegular) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TempWalDir wal("churn_write");  // fresh per run: no stale WAL replay
     harness::SimCluster cluster(
-        churn_options(harness::Protocol::kBsr, wal.path(), seed));
+        churn_options(registers::ProtocolVariant::kBsr, wal.path(), seed));
     const auto out = harness::run_churn_schedule(
         cluster, adversary::crash_during_write_schedule(1));
     EXPECT_TRUE(out.recovered_serving);
@@ -322,7 +322,7 @@ TEST(ChurnCheckerTest, CrashDuringReadWritebackStaysAtomic) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TempWalDir wal("churn_wb");  // fresh per run: no stale WAL replay
     harness::SimCluster cluster(
-        churn_options(harness::Protocol::kBsrWb, wal.path(), seed));
+        churn_options(registers::ProtocolVariant::kBsrWriteBack, wal.path(), seed));
     const auto out = harness::run_churn_schedule(
         cluster, adversary::crash_during_read_writeback_schedule(1));
     EXPECT_TRUE(out.recovered_serving);
@@ -342,7 +342,7 @@ TEST(ChurnCheckerTest, RejoinMidRoundRefusesTrafficYetStaysRegular) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TempWalDir wal("churn_rejoin");  // fresh per run: no stale WAL replay
     harness::SimCluster cluster(
-        churn_options(harness::Protocol::kBsr, wal.path(), seed));
+        churn_options(registers::ProtocolVariant::kBsr, wal.path(), seed));
     const auto out = harness::run_churn_schedule(
         cluster, adversary::rejoin_mid_round_schedule(1));
     EXPECT_TRUE(out.recovered_serving);
@@ -369,7 +369,7 @@ TEST(ChurnCheckerTest, EveryVictimPositionSurvivesCrashRejoin) {
     SCOPED_TRACE("victim=" + std::to_string(victim));
     TempWalDir wal("churn_victims");  // fresh per run: no stale WAL replay
     harness::SimCluster cluster(
-        churn_options(harness::Protocol::kBsr, wal.path(), 11 + victim));
+        churn_options(registers::ProtocolVariant::kBsr, wal.path(), 11 + victim));
     const auto out = harness::run_churn_schedule(
         cluster, adversary::crash_during_write_schedule(victim));
     EXPECT_TRUE(out.recovered_serving);

@@ -31,6 +31,8 @@
 namespace bftreg::harness {
 namespace {
 
+using registers::ProtocolVariant;
+
 /// Unique temp directory per test; removed recursively on destruction.
 class TempWalDir {
  public:
@@ -97,7 +99,7 @@ TEST(ChurnStressTest, RollingRestartUnderMixedLoadStaysAtomic) {
 
   TempWalDir wal("churn_stress");
   ThreadClusterOptions o;
-  o.protocol = Protocol::kBsrWb;  // the atomic variant: strongest oracle
+  o.protocol = ProtocolVariant::kBsrWriteBack;  // the atomic variant: strongest oracle
   o.config.n = kN;
   o.config.f = kF;
   o.num_writers = kWriters;

@@ -23,10 +23,11 @@ using checker::CheckOptions;
 using checker::check_atomicity;
 using checker::check_regularity;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
-ClusterOptions base_options(Protocol p, size_t n, size_t f, uint64_t seed = 1) {
+ClusterOptions base_options(ProtocolVariant p, size_t n, size_t f, uint64_t seed = 1) {
   ClusterOptions o;
   o.protocol = p;
   o.config.n = n;
@@ -40,7 +41,7 @@ ClusterOptions base_options(Protocol p, size_t n, size_t f, uint64_t seed = 1) {
 // ------------------------------------------------------------ history GC
 
 TEST(HistoryGcTest, ServerPrunesToBudget) {
-  ClusterOptions o = base_options(Protocol::kBsr, 5, 1);
+  ClusterOptions o = base_options(ProtocolVariant::kBsr, 5, 1);
   o.config.max_history = 3;
   SimCluster cluster(o);
   for (int i = 0; i < 10; ++i) cluster.write(0, val("v" + std::to_string(i)));
@@ -52,7 +53,7 @@ TEST(HistoryGcTest, ServerPrunesToBudget) {
 }
 
 TEST(HistoryGcTest, BsrUnaffectedByAggressiveGc) {
-  ClusterOptions o = base_options(Protocol::kBsr, 5, 1, 3);
+  ClusterOptions o = base_options(ProtocolVariant::kBsr, 5, 1, 3);
   o.config.max_history = 1;  // keep only the newest pair
   SimCluster cluster(o);
   cluster.set_byzantine(2, adversary::StrategyKind::kStale);
@@ -69,7 +70,7 @@ TEST(HistoryGcTest, AggressiveGcBreaksTheHistoryRegularityFix) {
   // With max_history = 1 the history read degenerates to the plain BSR
   // read, and the Theorem 3 schedule defeats it again: history-based
   // regularity NEEDS the history.
-  ClusterOptions o = base_options(Protocol::kBsrHistory, 5, 1, 42);
+  ClusterOptions o = base_options(ProtocolVariant::kBsrHistory, 5, 1, 42);
   o.config.max_history = 1;
   o.num_writers = 5;
   o.num_readers = 1;
@@ -83,7 +84,7 @@ TEST(HistoryGcTest, AggressiveGcBreaksTheHistoryRegularityFix) {
 TEST(HistoryGcTest, ModestGcPreservesTheoremThreeFix) {
   // The Thm. 3 schedule only needs the last completed write to survive one
   // extra in-progress write per server: budget 2 suffices here.
-  ClusterOptions o = base_options(Protocol::kBsrHistory, 5, 1, 42);
+  ClusterOptions o = base_options(ProtocolVariant::kBsrHistory, 5, 1, 42);
   o.config.max_history = 2;
   o.num_writers = 5;
   o.num_readers = 1;
@@ -130,7 +131,7 @@ TEST(AtomicityTest, BsrIsProvablyNotAtomic) {
   // Regular -- v2's write is still in progress -- but not atomic. This is
   // why the paper targets safety/regularity: semi-fast MWMR *atomicity* is
   // impossible (Georgiou et al. [13]).
-  ClusterOptions o = base_options(Protocol::kBsr, 5, 1, 9);
+  ClusterOptions o = base_options(ProtocolVariant::kBsr, 5, 1, 9);
   SimCluster cluster(o);
   cluster.start();
   cluster.write(0, val("v1"));
@@ -190,7 +191,7 @@ TEST(AtomicityTest, BsrIsProvablyNotAtomic) {
 TEST(BcsrMultiWriterTest, NonConcurrentWritersAreFine) {
   // Paper footnote 2: BCSR "can tolerate multiple writers as long as
   // writes are not concurrent".
-  ClusterOptions o = base_options(Protocol::kBcsr, 6, 1, 21);
+  ClusterOptions o = base_options(ProtocolVariant::kBcsr, 6, 1, 21);
   o.num_writers = 3;
   SimCluster cluster(o);
   for (int i = 0; i < 9; ++i) {
@@ -203,7 +204,7 @@ TEST(BcsrMultiWriterTest, NonConcurrentWritersAreFine) {
 // ------------------------------------------- writer crash mid-multicast
 
 TEST(WriterCrashTest, PartialPutDataKeepsBsrSafe) {
-  ClusterOptions o = base_options(Protocol::kBsr, 5, 1, 17);
+  ClusterOptions o = base_options(ProtocolVariant::kBsr, 5, 1, 17);
   SimCluster cluster(o);
   cluster.start();
   cluster.write(0, val("stable"));
@@ -283,7 +284,7 @@ TEST(WriterCrashTest, TwoRoundReadCanStallAfterPartialMulticast) {
   // behind it but only ONE honest value-holder. The 2R read targets that
   // tag and waits for f+1 matching values that can never come -- the
   // precise all-or-none gap reliable broadcast would have closed.
-  ClusterOptions o = base_options(Protocol::kBsr2R, 5, 1, 23);
+  ClusterOptions o = base_options(ProtocolVariant::kBsrTwoRound, 5, 1, 23);
   o.num_readers = 1;
   SimCluster cluster(o);
   cluster.set_byzantine(0, std::make_unique<ValueLiar>());
@@ -324,7 +325,7 @@ TEST(WriterCrashTest, TwoRoundReadCanStallAfterPartialMulticast) {
 // ---------------------------------------------- StorePolicy::kMaxOnly
 
 struct PolicyParam {
-  Protocol protocol;
+  ProtocolVariant protocol;
   size_t n;
   size_t f;
 };
@@ -343,18 +344,19 @@ TEST_P(MaxOnlyPolicyTest, FigureThreeVerbatimPolicyIsSafe) {
     EXPECT_EQ(cluster.read(0).value, payload);
   }
   CheckOptions copts;
-  copts.reads_report_tags = protocol != Protocol::kBcsr;
-  copts.strict_validity = protocol != Protocol::kBcsr;
+  copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
+  copts.strict_validity = protocol != ProtocolVariant::kBcsr;
   const auto res = check_safety(cluster.recorder().ops(), copts);
   EXPECT_TRUE(res.ok) << res.violation;
 }
 
-INSTANTIATE_TEST_SUITE_P(Protocols, MaxOnlyPolicyTest,
-                         ::testing::Values(PolicyParam{Protocol::kBsr, 5, 1},
-                                           PolicyParam{Protocol::kBsr, 9, 2},
-                                           PolicyParam{Protocol::kBcsr, 6, 1},
-                                           PolicyParam{Protocol::kBsrHistory, 5, 1},
-                                           PolicyParam{Protocol::kBsr2R, 5, 1}),
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, MaxOnlyPolicyTest,
+    ::testing::Values(PolicyParam{ProtocolVariant::kBsr, 5, 1},
+                      PolicyParam{ProtocolVariant::kBsr, 9, 2},
+                      PolicyParam{ProtocolVariant::kBcsr, 6, 1},
+                      PolicyParam{ProtocolVariant::kBsrHistory, 5, 1},
+                      PolicyParam{ProtocolVariant::kBsrTwoRound, 5, 1}),
                          [](const auto& info) {
                            std::string name = to_string(info.param.protocol);
                            for (auto& ch : name) {

@@ -619,12 +619,12 @@ TEST(LintSerdeSymmetry, SymmetricPairAndWidthClassesClean) {
 TEST(LintUncheckedResult, DiscardedResultReturnFlagged) {
   const std::vector<SourceFile> files = {
       {"src/registers/config.cpp",
-       "Result<Config> build_bounded(int n) {\n"
+       "Result<Config> build_for(int n) {\n"
        "  return Config{n};\n"
        "}\n"},
       {"src/harness/use.cpp",
        "void setup(Builder& b) {\n"
-       "  b.build_bounded(5);\n"
+       "  b.build_for(5);\n"
        "}\n"},
   };
   const auto vs = lint_program(files);
@@ -637,15 +637,15 @@ TEST(LintUncheckedResult, DiscardedResultReturnFlagged) {
 TEST(LintUncheckedResult, ConsumedResultsNotFlagged) {
   const std::vector<SourceFile> files = {
       {"src/registers/config.cpp",
-       "Result<Config> build_bounded(int n) {\n"
+       "Result<Config> build_for(int n) {\n"
        "  return Config{n};\n"
        "}\n"},
       {"src/harness/use.cpp",
        "Result<Config> forward(Builder& b) {\n"
-       "  auto r = b.build_bounded(1);\n"
-       "  if (b.build_bounded(2).ok()) use();\n"
-       "  (void)b.build_bounded(3);\n"
-       "  return b.build_bounded(4);\n"
+       "  auto r = b.build_for(1);\n"
+       "  if (b.build_for(2).ok()) use();\n"
+       "  (void)b.build_for(3);\n"
+       "  return b.build_for(4);\n"
        "}\n"},
   };
   EXPECT_FALSE(has_rule(lint_program(files), "unchecked-result"));

@@ -19,13 +19,14 @@ namespace {
 
 using checker::CheckOptions;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 TEST(Theorem5Test, BsrViolatesSafetyAtFourF) {
   // n = 4, f = 1: the proof's scenario defeats the witness rule.
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = 4;
   o.config.f = 1;
   o.num_writers = 2;
@@ -46,7 +47,7 @@ TEST(Theorem5Test, BsrViolatesSafetyAtFourF) {
 
 TEST(Theorem5Test, SameAdversaryIsHarmlessAtFourFPlusOne) {
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   o.num_writers = 2;
@@ -68,7 +69,7 @@ TEST(Lemma5Test, WitnessThresholdBelowFPlusOneAdoptsFabrications) {
   // Ablation: drop the witness threshold to 1 and a single Byzantine server
   // feeds the reader a fabricated value -- the Lemma 5 violation.
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   o.config.witness_threshold_override = 1;  // deliberately broken
@@ -91,7 +92,7 @@ TEST(Lemma5Test, WitnessThresholdBelowFPlusOneAdoptsFabrications) {
 
 TEST(Lemma5Test, PaperThresholdRejectsTheSameAttack) {
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;  // threshold f+1 = 2
   o.num_writers = 1;
@@ -158,7 +159,7 @@ TEST(Theorem6Test, OneMoreServerMakesTheSameScheduleDecodable) {
 // never complete once f servers crash.
 TEST(Lemma6Test, WaitingBeyondNMinusFForfeitsLiveness) {
   ClusterOptions o;
-  o.protocol = Protocol::kBsr;
+  o.protocol = ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   o.num_writers = 1;

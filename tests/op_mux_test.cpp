@@ -266,6 +266,27 @@ TEST(SystemConfigBuilder, ErrorsCarryActionableDetail) {
   EXPECT_NE(c.error().detail.find("n >= 5"), std::string::npos);
 }
 
+TEST(SystemConfigBuilder, BuildForNamesTheVariantAndItsBound) {
+  for (const auto& p : kProtocolNames) {
+    const size_t bound = min_servers(p.variant, 2);
+    EXPECT_TRUE(SystemConfig::builder().n(bound).f(2).build_for(p.variant).ok());
+    auto c = SystemConfig::builder().n(bound - 1).f(2).build_for(p.variant);
+    ASSERT_FALSE(c.ok()) << p.display;
+    EXPECT_EQ(c.error().detail, std::string(p.display) + " needs n >= " +
+                                    std::to_string(bound) + " at f=2, got n=" +
+                                    std::to_string(bound - 1));
+  }
+}
+
+TEST(ProtocolNames, EveryKeyParsesBackToItsVariant) {
+  for (const auto& p : kProtocolNames) {
+    EXPECT_EQ(protocol_by_key(p.key), p.variant) << p.key;
+    EXPECT_STREQ(to_string(p.variant), p.display);
+  }
+  EXPECT_EQ(protocol_by_key("BSR"), std::nullopt);  // keys, not display names
+  EXPECT_EQ(protocol_by_key(""), std::nullopt);
+}
+
 TEST(SystemConfigBuilder, RejectsOverridesThatWouldHang) {
   // Waiting for more identical answers than the quorum collects can never
   // complete; the builder rejects rather than letting an ablation hang.

@@ -77,7 +77,7 @@ TEST(RaceStress, ConcurrentSendersAgainstStop) {
 
 TEST(RaceStress, ThreadClusterRacingFirstOperations) {
   harness::ThreadClusterOptions opts;
-  opts.protocol = harness::Protocol::kBsr;
+  opts.protocol = registers::ProtocolVariant::kBsr;
   opts.config.n = 5;
   opts.config.f = 1;
   opts.config.initial_value = Bytes{0};

@@ -17,12 +17,13 @@ namespace {
 using adversary::StrategyKind;
 using checker::CheckOptions;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 ClusterOptions rb_options(size_t n, size_t f, uint64_t seed = 1) {
   ClusterOptions o;
-  o.protocol = Protocol::kRb;
+  o.protocol = ProtocolVariant::kRb;
   o.config.n = n;
   o.config.f = f;
   o.num_writers = 2;
@@ -68,7 +69,7 @@ TEST(RbRegisterTest, WriteLatencyIncludesRbPropagation) {
   // pays get-tag (2d) + PUT (d) + ECHO (d) + READY (d) + ACK (d) = 6d: the
   // 1.5x blowup of Section I-B, measured end to end.
   ClusterOptions bsr;
-  bsr.protocol = Protocol::kBsr;
+  bsr.protocol = ProtocolVariant::kBsr;
   bsr.config.n = 5;
   bsr.config.f = 1;
   bsr.delay_lo = bsr.delay_hi = 1000;

@@ -19,10 +19,11 @@ using adversary::StrategyKind;
 using checker::CheckOptions;
 using checker::check_regularity;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
-ClusterOptions options_for(Protocol p, size_t n, size_t f, uint64_t seed = 1,
+ClusterOptions options_for(ProtocolVariant p, size_t n, size_t f, uint64_t seed = 1,
                            size_t writers = 2, size_t readers = 2) {
   ClusterOptions o;
   o.protocol = p;
@@ -37,7 +38,7 @@ ClusterOptions options_for(Protocol p, size_t n, size_t f, uint64_t seed = 1,
 // ------------------------------------------------------- Theorem 3 schedule
 
 TEST(Theorem3Test, PlainBsrViolatesRegularity) {
-  SimCluster cluster(options_for(Protocol::kBsr, 5, 1, 42, 5, 1));
+  SimCluster cluster(options_for(ProtocolVariant::kBsr, 5, 1, 42, 5, 1));
   const auto r = run_theorem3_schedule(cluster);
 
   // The read finds no pair with f+1 = 2 witnesses and slides back to v0.
@@ -52,7 +53,7 @@ TEST(Theorem3Test, PlainBsrViolatesRegularity) {
 }
 
 TEST(Theorem3Test, HistoryReaderStaysRegular) {
-  SimCluster cluster(options_for(Protocol::kBsrHistory, 5, 1, 42, 5, 1));
+  SimCluster cluster(options_for(ProtocolVariant::kBsrHistory, 5, 1, 42, 5, 1));
   const auto r = run_theorem3_schedule(cluster);
   // v1 is in every honest server's history: 2+ witnesses, returned.
   EXPECT_EQ(r.value, val("v1"));
@@ -62,7 +63,7 @@ TEST(Theorem3Test, HistoryReaderStaysRegular) {
 }
 
 TEST(Theorem3Test, TwoRoundReaderStaysRegular) {
-  SimCluster cluster(options_for(Protocol::kBsr2R, 5, 1, 42, 5, 1));
+  SimCluster cluster(options_for(ProtocolVariant::kBsrTwoRound, 5, 1, 42, 5, 1));
   const auto r = run_theorem3_schedule(cluster);
   EXPECT_EQ(r.value, val("v1"));
   EXPECT_EQ(r.rounds, 2);
@@ -73,7 +74,7 @@ TEST(Theorem3Test, TwoRoundReaderStaysRegular) {
 
 // ----------------------------------------------------------- basic behavior
 
-class RegularVariantTest : public ::testing::TestWithParam<Protocol> {};
+class RegularVariantTest : public ::testing::TestWithParam<ProtocolVariant> {};
 
 TEST_P(RegularVariantTest, ReadAfterWriteReturnsWrittenValue) {
   SimCluster cluster(options_for(GetParam(), 5, 1));
@@ -110,20 +111,21 @@ TEST_P(RegularVariantTest, SequentialWorkloadIsRegularUnderByzantine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, RegularVariantTest,
-                         ::testing::Values(Protocol::kBsrHistory, Protocol::kBsr2R),
+                         ::testing::Values(ProtocolVariant::kBsrHistory,
+                                           ProtocolVariant::kBsrTwoRound),
                          [](const auto& info) {
-                           return info.param == Protocol::kBsrHistory
+                           return info.param == ProtocolVariant::kBsrHistory
                                       ? std::string("History")
                                       : std::string("TwoRound");
                          });
 
 // Two-round reads really take two rounds; history reads stay one-shot.
 TEST(RegularVariantTest, RoundCounts) {
-  SimCluster h(options_for(Protocol::kBsrHistory, 5, 1));
+  SimCluster h(options_for(ProtocolVariant::kBsrHistory, 5, 1));
   h.write(0, val("x"));
   EXPECT_EQ(h.read(0).rounds, 1);
 
-  SimCluster t(options_for(Protocol::kBsr2R, 5, 1));
+  SimCluster t(options_for(ProtocolVariant::kBsrTwoRound, 5, 1));
   t.write(0, val("x"));
   EXPECT_EQ(t.read(0).rounds, 2);
 }
@@ -131,7 +133,7 @@ TEST(RegularVariantTest, RoundCounts) {
 // The history read's bandwidth grows with history length -- the cost knob
 // the paper trades against BSR's constant-size responses.
 TEST(RegularVariantTest, HistoryReadBandwidthGrowsWithWrites) {
-  SimCluster cluster(options_for(Protocol::kBsrHistory, 5, 1));
+  SimCluster cluster(options_for(ProtocolVariant::kBsrHistory, 5, 1));
   cluster.write(0, val("aaaaaaaaaaaaaaaa"));
   cluster.sim().run_until_idle();
   const auto before1 = cluster.sim().metrics().snapshot().bytes_sent;
@@ -151,7 +153,7 @@ TEST(RegularVariantTest, HistoryReadBandwidthGrowsWithWrites) {
 
 // Randomized concurrent schedules must stay regular for both variants.
 struct RegularRandomParam {
-  Protocol protocol;
+  ProtocolVariant protocol;
   uint64_t seed;
 };
 
@@ -209,8 +211,8 @@ TEST_P(RegularRandomScheduleTest, RandomExecutionIsRegular) {
 std::vector<RegularRandomParam> regular_random_params() {
   std::vector<RegularRandomParam> out;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    out.push_back({Protocol::kBsrHistory, seed});
-    out.push_back({Protocol::kBsr2R, seed});
+    out.push_back({ProtocolVariant::kBsrHistory, seed});
+    out.push_back({ProtocolVariant::kBsrTwoRound, seed});
   }
   return out;
 }
@@ -219,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RegularRandomScheduleTest,
                          ::testing::ValuesIn(regular_random_params()),
                          [](const auto& info) {
                            return std::string(info.param.protocol ==
-                                                      Protocol::kBsrHistory
+                                                      ProtocolVariant::kBsrHistory
                                                   ? "History"
                                                   : "TwoRound") +
                                   "_s" + std::to_string(info.param.seed);

@@ -287,28 +287,28 @@ TEST(RuntimeRegisterTest, BcsrDecodesOnRealThreads) {
 
 TEST(ThreadClusterTest, AllProtocolsWorkOnRealThreads) {
   for (auto protocol :
-       {harness::Protocol::kBsr, harness::Protocol::kBsrHistory,
-        harness::Protocol::kBsr2R, harness::Protocol::kBcsr,
-        harness::Protocol::kRb, harness::Protocol::kBsrWb}) {
+       {registers::ProtocolVariant::kBsr, registers::ProtocolVariant::kBsrHistory,
+        registers::ProtocolVariant::kBsrTwoRound, registers::ProtocolVariant::kBcsr,
+        registers::ProtocolVariant::kRb, registers::ProtocolVariant::kBsrWriteBack}) {
     harness::ThreadClusterOptions o;
     o.protocol = protocol;
     o.config.f = 1;
-    o.config.n = harness::min_servers(protocol, 1);
+    o.config.n = registers::min_servers(protocol, 1);
     o.num_writers = 1;
     o.num_readers = 1;
     harness::ThreadCluster cluster(o);
     cluster.set_byzantine(o.config.n - 1, adversary::StrategyKind::kStale);
-    cluster.write(0, val("tc-" + std::string(harness::to_string(protocol))));
+    cluster.write(0, val("tc-" + std::string(registers::to_string(protocol))));
     const auto r = cluster.read(0);
-    EXPECT_EQ(r.value, val("tc-" + std::string(harness::to_string(protocol))))
-        << harness::to_string(protocol);
+    EXPECT_EQ(r.value, val("tc-" + std::string(registers::to_string(protocol))))
+        << registers::to_string(protocol);
     cluster.stop();
   }
 }
 
 TEST(ThreadClusterTest, ConcurrentClientThreads) {
   harness::ThreadClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = registers::ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   o.num_writers = 2;

@@ -295,7 +295,7 @@ TEST(ScheduleSeedTest, ChurnRunsAreReproducibleAcrossTestOrdering) {
   // whether or not unrelated traffic ran first.
   auto run = [](bool with_prelude, const std::string& wal_dir) {
     harness::ClusterOptions o;
-    o.protocol = harness::Protocol::kBsr;
+    o.protocol = registers::ProtocolVariant::kBsr;
     o.config.n = 5;
     o.config.f = 1;
     o.seed = 7;
@@ -411,17 +411,17 @@ class TraceDigest {
 };
 
 struct PinnedTrace {
-  harness::Protocol protocol;
+  registers::ProtocolVariant protocol;
   uint64_t digest;
   uint64_t messages;
 };
 
-harness::ClusterOptions trace_options(harness::Protocol protocol,
+harness::ClusterOptions trace_options(registers::ProtocolVariant protocol,
                                       size_t writers, size_t readers) {
   harness::ClusterOptions o;
   o.protocol = protocol;
   o.config.f = 1;
-  o.config.n = harness::min_servers(protocol, 1);
+  o.config.n = registers::min_servers(protocol, 1);
   o.num_writers = writers;
   o.num_readers = readers;
   o.seed = 2020;
@@ -484,41 +484,41 @@ void run_overlapping(harness::SimCluster& cluster) {
 // RegisterClient; any client/harness refactor must reproduce them exactly.
 TEST(TraceIdentityTest, SequentialMixedWorkloadTracesArePinned) {
   const std::array<PinnedTrace, 6> pinned{{
-      {harness::Protocol::kBsr, 10401915816654979441ULL, 360},
-      {harness::Protocol::kBsrHistory, 4368149015353763333ULL, 360},
-      {harness::Protocol::kBsr2R, 1198673684144929061ULL, 540},
-      {harness::Protocol::kBcsr, 17465124590979284006ULL, 432},
-      {harness::Protocol::kRb, 17583313239945567154ULL, 624},
-      {harness::Protocol::kBsrWb, 5981221302261872674ULL, 480},
+      {registers::ProtocolVariant::kBsr, 10401915816654979441ULL, 360},
+      {registers::ProtocolVariant::kBsrHistory, 4368149015353763333ULL, 360},
+      {registers::ProtocolVariant::kBsrTwoRound, 1198673684144929061ULL, 540},
+      {registers::ProtocolVariant::kBcsr, 17465124590979284006ULL, 432},
+      {registers::ProtocolVariant::kRb, 17583313239945567154ULL, 624},
+      {registers::ProtocolVariant::kBsrWriteBack, 5981221302261872674ULL, 480},
   }};
   for (const auto& p : pinned) {
     harness::SimCluster cluster(trace_options(p.protocol, 2, 2));
     cluster.start();
     TraceDigest trace(cluster.sim());
     run_sequential_mixed(cluster);
-    EXPECT_EQ(trace.digest(), p.digest) << harness::to_string(p.protocol);
-    EXPECT_EQ(trace.messages(), p.messages) << harness::to_string(p.protocol);
+    EXPECT_EQ(trace.digest(), p.digest) << registers::to_string(p.protocol);
+    EXPECT_EQ(trace.messages(), p.messages) << registers::to_string(p.protocol);
   }
 }
 
 TEST(TraceIdentityTest, OverlappingWorkloadTracesArePinned) {
   const std::array<PinnedTrace, 5> pinned{{
-      {harness::Protocol::kBsr, 11169262877550426606ULL, 680},
-      {harness::Protocol::kBsrHistory, 11348578213696929881ULL, 680},
-      {harness::Protocol::kBsr2R, 9166804348493399306ULL, 1010},
-      {harness::Protocol::kBcsr, 5248145948763188880ULL, 648},
-      {harness::Protocol::kBsrWb, 9037823707391584601ULL, 840},
+      {registers::ProtocolVariant::kBsr, 11169262877550426606ULL, 680},
+      {registers::ProtocolVariant::kBsrHistory, 11348578213696929881ULL, 680},
+      {registers::ProtocolVariant::kBsrTwoRound, 9166804348493399306ULL, 1010},
+      {registers::ProtocolVariant::kBcsr, 5248145948763188880ULL, 648},
+      {registers::ProtocolVariant::kBsrWriteBack, 9037823707391584601ULL, 840},
   }};
   for (const auto& p : pinned) {
     // BCSR is single-writer: concurrent writes may legitimately fail to
     // decode (footnote 2), which this trace is not about.
-    const size_t writers = p.protocol == harness::Protocol::kBcsr ? 1 : 2;
+    const size_t writers = p.protocol == registers::ProtocolVariant::kBcsr ? 1 : 2;
     harness::SimCluster cluster(trace_options(p.protocol, writers, 2));
     cluster.start();
     TraceDigest trace(cluster.sim());
     run_overlapping(cluster);
-    EXPECT_EQ(trace.digest(), p.digest) << harness::to_string(p.protocol);
-    EXPECT_EQ(trace.messages(), p.messages) << harness::to_string(p.protocol);
+    EXPECT_EQ(trace.digest(), p.digest) << registers::to_string(p.protocol);
+    EXPECT_EQ(trace.messages(), p.messages) << registers::to_string(p.protocol);
   }
 }
 

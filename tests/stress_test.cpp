@@ -21,9 +21,10 @@ namespace {
 using checker::CheckOptions;
 using checker::check_regularity;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 struct StressParam {
-  Protocol protocol;
+  ProtocolVariant protocol;
   uint64_t seed;
 };
 
@@ -42,10 +43,10 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   Rng rng(seed * 7919 + static_cast<uint64_t>(protocol));
 
   // System size within the protocol's resilience bound (+ slack).
-  const size_t f = 1 + rng.uniform(protocol == Protocol::kBcsr ? 2 : 3);
+  const size_t f = 1 + rng.uniform(protocol == ProtocolVariant::kBcsr ? 2 : 3);
   const size_t n = min_servers(protocol, f) + rng.uniform(3);
 
-  const size_t writers = protocol == Protocol::kBcsr ? 1 : 2 + rng.uniform(2);
+  const size_t writers = protocol == ProtocolVariant::kBcsr ? 1 : 2 + rng.uniform(2);
   const size_t readers = 2 + rng.uniform(2);
 
   ClusterOptions o;
@@ -55,7 +56,7 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   if (rng.bernoulli(0.3)) o.config.store_policy = registers::StorePolicy::kMaxOnly;
   // History pruning can starve the 2R read's second phase (the target tag
   // may be GC'd between phases); exercise it on the other protocols only.
-  if (protocol != Protocol::kBsr2R && rng.bernoulli(0.2)) {
+  if (protocol != ProtocolVariant::kBsrTwoRound && rng.bernoulli(0.2)) {
     o.config.max_history = 2 + rng.uniform(6);
   }
   o.num_writers = writers;
@@ -77,7 +78,7 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   }
   for (size_t i = crashes; i < f; ++i) {
     const auto kind =
-        protocol == Protocol::kRb
+        protocol == ProtocolVariant::kRb
             ? adversary::StrategyKind::kSilent
             : adversary::kAllStrategyKinds[rng.uniform(
                   std::size(adversary::kAllStrategyKinds))];
@@ -89,7 +90,7 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   std::vector<bool> writer_alive(writers, true);
   uint64_t counter = 0;
   const bool allow_writer_crash =
-      protocol != Protocol::kBsr2R && rng.bernoulli(0.3);
+      protocol != ProtocolVariant::kBsrTwoRound && rng.bernoulli(0.3);
   bool writer_crashed = false;
 
   for (int step = 0; step < 70; ++step) {
@@ -125,12 +126,12 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   }
 
   CheckOptions copts;
-  copts.reads_report_tags = protocol != Protocol::kBcsr;
+  copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
   // Strict validity holds for witness-verified protocols even under these
   // adversaries; BCSR's decoder may legally emit any V-value under
   // concurrency (Def. 1(ii)), and the baseline is checked as safe only.
   copts.strict_validity =
-      protocol == Protocol::kBsr || protocol == Protocol::kBsrHistory;
+      protocol == ProtocolVariant::kBsr || protocol == ProtocolVariant::kBsrHistory;
 
   const auto safe = check_safety(cluster.recorder().ops(), copts);
   EXPECT_TRUE(safe.ok) << to_string(protocol) << " seed=" << seed << ": "
@@ -139,8 +140,8 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   // Regularity needs the full-history store: kMaxOnly may skip a completed
   // write's put (it ACKs without storing when a higher concurrent tag is
   // already present), and GC may prune what the history read relies on.
-  const bool regular_protocol =
-      protocol == Protocol::kBsrHistory || protocol == Protocol::kBsr2R;
+  const bool regular_protocol = protocol == ProtocolVariant::kBsrHistory ||
+                                protocol == ProtocolVariant::kBsrTwoRound;
   if (regular_protocol && o.config.max_history == 0 &&
       o.config.store_policy == registers::StorePolicy::kAll) {
     const auto reg = check_regularity(cluster.recorder().ops(), copts);
@@ -152,15 +153,15 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
 std::vector<StressParam> stress_params() {
   std::vector<StressParam> out;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    out.push_back({Protocol::kBsr, seed});
+    out.push_back({ProtocolVariant::kBsr, seed});
   }
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    out.push_back({Protocol::kBsrHistory, seed});
-    out.push_back({Protocol::kBsr2R, seed});
-    out.push_back({Protocol::kBcsr, seed});
+    out.push_back({ProtocolVariant::kBsrHistory, seed});
+    out.push_back({ProtocolVariant::kBsrTwoRound, seed});
+    out.push_back({ProtocolVariant::kBcsr, seed});
   }
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    out.push_back({Protocol::kRb, seed});
+    out.push_back({ProtocolVariant::kRb, seed});
   }
   return out;
 }

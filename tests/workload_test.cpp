@@ -67,7 +67,7 @@ TEST(WorkloadTest, MakeValueIsDeterministicAndDistinct) {
 
 TEST(HarnessTest, RecorderCapturesOperationIntervals) {
   harness::ClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = registers::ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   harness::SimCluster cluster(o);
@@ -85,7 +85,7 @@ TEST(HarnessTest, RecorderCapturesOperationIntervals) {
 TEST(HarnessTest, DeterministicAcrossRuns) {
   auto run = [] {
     harness::ClusterOptions o;
-    o.protocol = harness::Protocol::kBsr;
+    o.protocol = registers::ProtocolVariant::kBsr;
     o.config.n = 9;
     o.config.f = 2;
     o.seed = 99;
@@ -143,16 +143,16 @@ TEST(ZipfianKeysTest, ZeroThetaIsUniform) {
 }
 
 TEST(HarnessTest, MinServersMatchesPaperBounds) {
-  EXPECT_EQ(harness::min_servers(harness::Protocol::kBsr, 1), 5u);
-  EXPECT_EQ(harness::min_servers(harness::Protocol::kBsr, 2), 9u);
-  EXPECT_EQ(harness::min_servers(harness::Protocol::kBcsr, 1), 6u);
-  EXPECT_EQ(harness::min_servers(harness::Protocol::kBcsr, 3), 16u);
-  EXPECT_EQ(harness::min_servers(harness::Protocol::kRb, 1), 4u);
+  EXPECT_EQ(registers::min_servers(registers::ProtocolVariant::kBsr, 1), 5u);
+  EXPECT_EQ(registers::min_servers(registers::ProtocolVariant::kBsr, 2), 9u);
+  EXPECT_EQ(registers::min_servers(registers::ProtocolVariant::kBcsr, 1), 6u);
+  EXPECT_EQ(registers::min_servers(registers::ProtocolVariant::kBcsr, 3), 16u);
+  EXPECT_EQ(registers::min_servers(registers::ProtocolVariant::kRb, 1), 4u);
 }
 
 TEST(HarnessTest, StorageAccountingSumsHonestServers) {
   harness::ClusterOptions o;
-  o.protocol = harness::Protocol::kBsr;
+  o.protocol = registers::ProtocolVariant::kBsr;
   o.config.n = 5;
   o.config.f = 1;
   harness::SimCluster cluster(o);

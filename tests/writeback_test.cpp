@@ -15,13 +15,14 @@ using adversary::StrategyKind;
 using checker::CheckOptions;
 using checker::check_atomicity;
 using checker::check_safety;
+using registers::ProtocolVariant;
 
 Bytes val(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 ClusterOptions wb_options(size_t n, size_t f, uint64_t seed = 1,
                           size_t writers = 2, size_t readers = 2) {
   ClusterOptions o;
-  o.protocol = Protocol::kBsrWb;
+  o.protocol = ProtocolVariant::kBsrWriteBack;
   o.config.n = n;
   o.config.f = f;
   o.num_writers = writers;

@@ -16,9 +16,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "adversary/churn.h"
 #include "checker/consistency.h"
@@ -32,7 +32,7 @@ using namespace bftreg;
 namespace {
 
 struct Options {
-  harness::Protocol protocol{harness::Protocol::kBsr};
+  registers::ProtocolVariant protocol{registers::ProtocolVariant::kBsr};
   size_t n{0};  // 0 = min for protocol
   size_t f{1};
   size_t ops{200};
@@ -45,9 +45,13 @@ struct Options {
 };
 
 void usage() {
+  std::string keys;
+  for (const auto& p : registers::kProtocolNames) {
+    keys += (keys.empty() ? "" : "|") + std::string(p.key);
+  }
   std::printf(
       "bftreg_run -- deterministic register-emulation experiments\n\n"
-      "  --protocol=bsr|history|bsr2r|bcsr|rb|wb   protocol (default bsr)\n"
+      "  --protocol=%s   protocol (default bsr)\n"
       "  --n=<int>            servers (default: protocol minimum for f)\n"
       "  --f=<int>            Byzantine budget (default 1)\n"
       "  --ops=<int>          operations to run (default 200)\n"
@@ -61,7 +65,8 @@ void usage() {
       "                       churn-rejoin (crash/rejoin drills; server 1 is\n"
       "                       bounced mid-operation, WAL-backed, and must\n"
       "                       catch up from a quorum before serving again)\n"
-      "  --trace              dump the recorded execution\n");
+      "  --trace              dump the recorded execution\n",
+      keys.c_str());
 }
 
 std::optional<std::string> arg_value(const char* arg, const char* name) {
@@ -73,24 +78,16 @@ std::optional<std::string> arg_value(const char* arg, const char* name) {
 }
 
 std::optional<Options> parse(int argc, char** argv) {
-  static const std::map<std::string, harness::Protocol> kProtocols = {
-      {"bsr", harness::Protocol::kBsr},
-      {"history", harness::Protocol::kBsrHistory},
-      {"bsr2r", harness::Protocol::kBsr2R},
-      {"bcsr", harness::Protocol::kBcsr},
-      {"rb", harness::Protocol::kRb},
-      {"wb", harness::Protocol::kBsrWb},
-  };
   Options o;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (auto v = arg_value(a, "--protocol")) {
-      auto it = kProtocols.find(*v);
-      if (it == kProtocols.end()) {
+      auto protocol = registers::protocol_by_key(*v);
+      if (!protocol) {
         std::fprintf(stderr, "unknown protocol '%s'\n", v->c_str());
         return std::nullopt;
       }
-      o.protocol = it->second;
+      o.protocol = *protocol;
     } else if (auto v = arg_value(a, "--n")) {
       o.n = std::strtoull(v->c_str(), nullptr, 10);
     } else if (auto v = arg_value(a, "--f")) {
@@ -117,7 +114,7 @@ std::optional<Options> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (o.n == 0) o.n = harness::min_servers(o.protocol, o.f);
+  if (o.n == 0) o.n = registers::min_servers(o.protocol, o.f);
   return o;
 }
 
@@ -126,21 +123,6 @@ std::optional<adversary::StrategyKind> strategy_by_name(const std::string& name)
     if (name == adversary::to_string(kind)) return kind;
   }
   return std::nullopt;
-}
-
-/// Validates (n, f) against the requested protocol's resilience bound via
-/// the SystemConfig builder, so a bad combination is a printed error, not
-/// an assert deep inside a client constructor.
-Result<registers::SystemConfig> build_config(const Options& o) {
-  auto b = registers::SystemConfig::builder().n(o.n).f(o.f);
-  switch (o.protocol) {
-    case harness::Protocol::kBcsr:
-      return b.build_for_bcsr();
-    case harness::Protocol::kRb:
-      return b.build_for_rb();
-    default:
-      return b.build_for_bsr();
-  }
 }
 
 int run_scenario(const Options& o) {
@@ -160,7 +142,7 @@ int run_scenario(const Options& o) {
   co.num_readers = 1;
 
   checker::CheckOptions copts;
-  copts.reads_report_tags = o.protocol != harness::Protocol::kBcsr;
+  copts.reads_report_tags = o.protocol != registers::ProtocolVariant::kBcsr;
 
   if (o.scenario == "theorem3") {
     co.num_writers = 5;
@@ -204,6 +186,13 @@ int run_scenario(const Options& o) {
       schedule = adversary::rejoin_mid_round_schedule(1);
     } else {
       std::fprintf(stderr, "unknown churn scenario '%s'\n", o.scenario.c_str());
+      return 2;
+    }
+    if (o.protocol == registers::ProtocolVariant::kRb) {
+      std::fprintf(stderr,
+                   "scenario '%s' restarts WAL-backed servers, but %s servers "
+                   "keep no WAL\n",
+                   o.scenario.c_str(), to_string(o.protocol));
       return 2;
     }
 
@@ -261,7 +250,9 @@ int main(int argc, char** argv) {
 
   if (!o.scenario.empty()) return run_scenario(o);
 
-  auto config = build_config(o);
+  // A bad (n, f) for the protocol is a printed error, not an assert deep
+  // inside a client constructor.
+  auto config = registers::SystemConfig::builder().n(o.n).f(o.f).build_for(o.protocol);
   if (!config) {
     std::fprintf(stderr, "%s\n", config.error().detail.c_str());
     return 2;
@@ -281,9 +272,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown byzantine strategy '%s'\n", o.byzantine.c_str());
       return 2;
     }
+    // f distinct servers: a repeated draw is redrawn.
     Rng rng(o.seed * 31);
+    std::vector<bool> picked(o.n, false);
     for (size_t i = 0; i < o.f; ++i) {
-      const size_t index = rng.uniform(o.n);
+      size_t index = rng.uniform(o.n);
+      while (picked[index]) index = rng.uniform(o.n);
+      picked[index] = true;
       cluster.set_byzantine(index, *kind);
       std::printf("server %zu: Byzantine (%s)\n", index, o.byzantine.c_str());
     }
@@ -325,7 +320,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.auth_failures));
 
   checker::CheckOptions copts;
-  copts.reads_report_tags = o.protocol != harness::Protocol::kBcsr;
+  copts.reads_report_tags = o.protocol != registers::ProtocolVariant::kBcsr;
   const auto safe = checker::check_safety(cluster.recorder().ops(), copts);
   const auto reg = checker::check_regularity(cluster.recorder().ops(), copts);
   const auto atom = checker::check_atomicity(cluster.recorder().ops(), copts);

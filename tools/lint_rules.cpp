@@ -756,8 +756,8 @@ void line_rules(const std::string& rel_path, const Prepared& p,
         std::regex_search(code, kResilienceLiteral)) {
       flag(i, "resilience-literal",
            "resilience bound arithmetic belongs in src/registers/config.h "
-           "(use bsr_min_servers/bcsr_min_servers/rb_min_servers/"
-           "bcsr_code_dimension)");
+           "(use min_servers(ProtocolVariant, f), bsr_min_servers/"
+           "bcsr_min_servers/rb_min_servers or bcsr_code_dimension)");
     }
     if (starts_with(rel_path, "src/registers/") &&
         rel_path != "src/registers/object_store.h" &&
