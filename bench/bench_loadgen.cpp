@@ -105,13 +105,7 @@ struct PointResult {
 
 PointResult run_point(size_t fleet, double rate, double duration_s,
                       uint64_t seed) {
-  socknet::TcpConfig tcp;
-  // 16 KiB receive chunks: a fleet point holds `fleet` connections open at
-  // once, and the default 256 KiB chunk would cost 2 GiB of parse buffers
-  // at 8k clients. Register replies here are ~200 bytes.
-  tcp.options.recv_chunk_bytes = 16 * 1024;
-  tcp.options.recv_pool_bytes = 8 * 1024 * 1024;
-  socknet::TcpNetwork net(tcp);
+  socknet::TcpNetwork net(socknet::TcpConfig{});
 
   const auto built =
       registers::SystemConfig::builder().n(1).f(0).build_for_bsr();

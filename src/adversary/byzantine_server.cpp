@@ -39,8 +39,7 @@ Bytes random_bytes(Rng& rng, size_t len) {
 void StaleStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
-  RegisterMessage resp;
-  resp.op_id = msg->op_id;
+  RegisterMessage resp = reply_to(*msg);
   switch (msg->type) {
     case MsgType::kQueryTag:
       resp.type = MsgType::kTagResp;
@@ -86,8 +85,7 @@ void FabricateStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
   if (!msg) return;
   const Tag wild{1'000'000'000 + ctx.rng.uniform(1'000'000),
                  ProcessId::writer(static_cast<uint32_t>(ctx.rng.uniform(4)))};
-  RegisterMessage resp;
-  resp.op_id = msg->op_id;
+  RegisterMessage resp = reply_to(*msg);
   switch (msg->type) {
     case MsgType::kQueryTag:
       resp.type = MsgType::kTagResp;
@@ -147,8 +145,7 @@ void ColludeStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
   const Tag t = team_tag(msg->op_id);
-  RegisterMessage resp;
-  resp.op_id = msg->op_id;
+  RegisterMessage resp = reply_to(*msg);
   switch (msg->type) {
     case MsgType::kQueryTag:
       resp.type = MsgType::kTagResp;
@@ -187,9 +184,8 @@ void ColludeStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
 void DoubleReplyStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
-  RegisterMessage first;
-  RegisterMessage second;
-  first.op_id = second.op_id = msg->op_id;
+  RegisterMessage first = reply_to(*msg);
+  RegisterMessage second = first;
   switch (msg->type) {
     case MsgType::kQueryTag:
       first.type = second.type = MsgType::kTagResp;

@@ -43,6 +43,15 @@ struct ServerContext {
   }
 };
 
+/// The start of a reply to `req`: its op id and object. Clients drop a
+/// reply that names another object, so a lie must name the right one.
+inline registers::RegisterMessage reply_to(const registers::RegisterMessage& req) {
+  registers::RegisterMessage resp;
+  resp.op_id = req.op_id;
+  resp.object = req.object;
+  return resp;
+}
+
 class Strategy {
  public:
   virtual ~Strategy() = default;

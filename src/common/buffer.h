@@ -2,13 +2,14 @@
 //
 // The zero-copy delivery path hands message handlers *views* into the
 // transport's receive buffers instead of per-message byte vectors: the TCP
-// data plane parses frames in place inside a large refcounted chunk, and a
-// delivered `Payload` aliases that chunk (shared_ptr aliasing), keeping it
-// alive exactly as long as any handler still holds the envelope. In-memory
-// transports construct a Payload from the sender's `Bytes` by moving the
-// vector into a shared control block -- the data never moves, so a pointer
-// captured before send() still identifies the delivered bytes (asserted by
-// tests/socknet_test.cpp).
+// data plane parses frames in place inside the refcounted chunk its loop
+// shard reads into (or, for a frame cut by a read, inside that frame's own
+// buffer), and a delivered `Payload` aliases it (shared_ptr aliasing),
+// keeping it alive exactly as long as any handler still holds the
+// envelope. In-memory transports construct a Payload from the sender's
+// `Bytes` by moving the vector into a shared control block -- the data
+// never moves, so a pointer captured before send() still identifies the
+// delivered bytes (asserted by tests/socknet_test.cpp).
 #pragma once
 
 #include <algorithm>

@@ -13,8 +13,7 @@ using registers::RegisterMessage;
 void LaggingLiar::handle(const net::Envelope& env, adversary::ServerContext& ctx) {
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
-  RegisterMessage resp;
-  resp.op_id = msg->op_id;
+  RegisterMessage resp = adversary::reply_to(*msg);
   switch (msg->type) {
     case MsgType::kQueryTag:
       resp.type = MsgType::kTagResp;

@@ -25,7 +25,9 @@ namespace bftreg::net {
 /// validates and carries a TransportOptions, and socknet::TcpConfig embeds
 /// one, so a deployment tunes "how many event-loop shards, how many
 /// handler threads, how much outbound buffering" in a single struct instead
-/// of a grab-bag of per-transport fields.
+/// of a grab-bag of per-transport fields. Receive buffering has no knob:
+/// the TCP transport reads into one chunk per event-loop shard, so it grows
+/// with loop_shards, not with connections.
 struct TransportOptions {
   /// Event-loop shards (socknet::EventLoop): every connection, listener,
   /// and timer is owned by exactly one shard's epoll set, so the I/O
@@ -46,11 +48,6 @@ struct TransportOptions {
   /// a single frame larger than the cap is still accepted so jumbo
   /// payloads cannot deadlock themselves.
   size_t max_outbox_bytes{32 * 1024 * 1024};
-  /// Receive chunk size: frames are parsed in place inside refcounted
-  /// chunks of this capacity (grown per-frame when one frame is larger).
-  size_t recv_chunk_bytes{256 * 1024};
-  /// Cap on the pooled receive-chunk bytes (shared across connections).
-  size_t recv_pool_bytes{64 * 1024 * 1024};
 
   /// The auto defaults resolved against the actual hardware; every
   /// transport uses this so tools and tests agree on the effective values.

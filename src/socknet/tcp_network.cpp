@@ -21,8 +21,12 @@ namespace bftreg::socknet {
 namespace {
 
 constexpr size_t kMaxFrame = 64 * 1024 * 1024;  // sanity cap: 64 MiB
-/// Smallest useful recv() target; below this the chunk is rolled/reused.
+/// Smallest useful recv() target; below this the shard takes a new chunk.
 constexpr size_t kMinRecv = 4096;
+/// Cap on the free bytes one shard's receive pool keeps. A preload burst
+/// (thousands of requests in flight) pins chunks in mailbox queues; a
+/// tighter cap would hand them back to the allocator after every burst.
+constexpr size_t kRecvPoolBytes = 64 * 1024 * 1024;
 /// iovec budget per sendmsg (well under any platform's IOV_MAX).
 constexpr size_t kMaxIov = 256;
 /// Per-connection budget for the best-effort flush at stop().
@@ -65,9 +69,6 @@ struct TcpNetwork::Endpoint {
   std::atomic<bool> writes_paused{false};
   std::atomic<bool> reads_paused{false};
 
-  // Receive-chunk recycler; shared so payload deleters can outlive us.
-  std::shared_ptr<ChunkPool> pool;
-
   // Receive-path accounting (loop shards write, TestHooks reads).
   std::atomic<uint64_t> chunks_allocated{0};
   std::atomic<uint64_t> tail_bytes_copied{0};
@@ -94,7 +95,7 @@ struct TcpNetwork::Conn {
   bool want_write{false};  // EPOLLOUT armed: short write pending resume
   bool reading{true};      // EPOLLIN armed (TestHooks::pause_reads clears)
   uint32_t armed{0};       // epoll mask currently registered
-  ConnState rd;
+  Partial partial;         // a frame cut by the last read, if any
   std::deque<OutFrame> inflight;  // handed over by flush_task
   size_t wr_offset{0};            // bytes of inflight.front() on the wire
 };
@@ -106,7 +107,8 @@ TcpNetwork::TcpNetwork(TcpConfig config)
       epoch_(std::chrono::steady_clock::now()),
       loop_(opts_.loop_shards),
       mail_(opts_.mailbox_shards),
-      shard_conns_(loop_.size()) {}
+      shard_conns_(loop_.size()),
+      shard_recv_(loop_.size()) {}
 
 TcpNetwork::~TcpNetwork() {
   stop();
@@ -145,7 +147,6 @@ void TcpNetwork::add_process(const ProcessId& pid, net::IProcess* process,
   ep->pid = pid;
   ep->process = process;
   ep->home_shard = loop_.shard_of(pid);
-  ep->pool = std::make_shared<ChunkPool>(opts_.recv_pool_bytes);
   const uint32_t nctx = std::max<uint32_t>(1, process->delivery_shards());
   ep->mail_ctx.reserve(nctx);
   for (uint32_t s = 0; s < nctx; ++s) ep->mail_ctx.push_back(mail_.assign_context());
@@ -368,156 +369,168 @@ void TcpNetwork::on_conn_event(Conn* c, uint32_t events) {
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) conn_failed(c);
 }
 
+/// Reads `c` until a recv comes back short (the socket is then empty, and
+/// level-triggered epoll reports it again when more arrives). Bytes go into
+/// the shard chunk at `filled`, or, while `c` holds the start of a frame,
+/// straight into that frame's buffer. Returns false to kill the connection
+/// (peer closed, socket error or corrupt framing).
 bool TcpNetwork::read_conn(Conn* c) {
+  RecvShard& rs = shard_recv_[c->shard];
+  Partial& part = c->partial;
   for (;;) {
-    if (!ensure_recv_space(c->ep, c->rd)) return false;
-    Chunk& chunk = *c->rd.chunk;
-    const ssize_t r =
-        ::recv(c->fd, chunk.data.get() + chunk.filled, chunk.cap - chunk.filled, 0);
-    if (r > 0) {
-      chunk.filled += static_cast<size_t>(r);
-      if (!parse_frames(c)) return false;
-      continue;  // drain until EAGAIN; level-triggered epoll backs us up
+    uint8_t* dst = nullptr;
+    size_t want = 0;
+    if (part.buf) {
+      // Ask for exactly the missing bytes, so none of the next frame lands
+      // in this frame's buffer.
+      dst = part.buf->data.get() + part.have;
+      want = part.size - part.have;
+    } else {
+      if (!rs.chunk || rs.chunk->cap - rs.filled < kMinRecv) {
+        // The old chunk goes back to the pool when its last view dies --
+        // at once if none is left, so the shard can take it straight back.
+        rs.chunk.reset();
+        rs.chunk = acquire_buf(c->ep, rs.pool, kRecvChunkBytes);
+        rs.filled = 0;
+      }
+      // A length prefix cut by the last read goes back in front of the
+      // new bytes (at most 3 bytes; nothing aliases the chunk past filled).
+      dst = rs.chunk->data.get() + rs.filled;
+      std::memcpy(dst, part.prefix.data(), part.prefix_len);
+      dst += part.prefix_len;
+      want = rs.chunk->cap - rs.filled - part.prefix_len;
     }
+    const ssize_t r = ::recv(c->fd, dst, want, 0);
     if (r == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    return false;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    const auto got = static_cast<size_t>(r);
+
+    if (part.buf) {
+      part.have += got;
+      if (part.have == part.size) {
+        const std::shared_ptr<RecvBuf> buf = std::move(part.buf);
+        part = Partial{};
+        if (!deliver_frame(c, buf, buf->data.get())) return false;
+      }
+    } else {
+      // Deliver every whole frame in place. A trailing partial frame moves
+      // to this connection and `filled` stays before it: nothing aliases
+      // those bytes, and the shard's next read overwrites them.
+      const uint8_t* base = rs.chunk->data.get() + rs.filled;
+      const size_t avail = part.prefix_len + got;
+      part.prefix_len = 0;
+      size_t pos = 0;
+      while (avail - pos >= 4) {
+        const uint32_t frame_len = load_le32(base + pos);
+        if (frame_len < kHeaderSize - 4 || frame_len > kMaxFrame) return false;
+        const size_t size = size_t{4} + frame_len;
+        if (avail - pos < size) {
+          // The one payload copy on the receive path: what was read of this
+          // frame so far, never more than one chunk. Later reads complete
+          // it in its own buffer.
+          part.buf = acquire_buf(c->ep, rs.pool, size);
+          part.size = size;
+          part.have = avail - pos;
+          std::memcpy(part.buf->data.get(), base + pos, part.have);
+          c->ep->tail_bytes_copied.fetch_add(part.have, std::memory_order_relaxed);
+          pos = avail;
+          break;
+        }
+        rs.filled += size;
+        if (!deliver_frame(c, rs.chunk, base + pos)) return false;
+        pos += size;
+      }
+      if (pos < avail) {  // fewer than 4 bytes: only the length prefix
+        part.prefix_len = avail - pos;
+        std::memcpy(part.prefix.data(), base + pos, part.prefix_len);
+        c->ep->tail_bytes_copied.fetch_add(part.prefix_len, std::memory_order_relaxed);
+      }
+    }
+    if (got < want) return true;  // short read: the socket is drained
   }
 }
 
-/// Pops a pooled chunk of at least `min_cap` or allocates a fresh one. The
-/// returned shared_ptr's deleter pushes the chunk back into the pool when
-/// the last aliasing payload dies, so steady-state traffic recycles a small
-/// working set of buffers instead of churning the allocator.
-std::shared_ptr<TcpNetwork::Chunk> TcpNetwork::acquire_chunk(Endpoint* ep,
-                                                             size_t min_cap) {
-  std::shared_ptr<ChunkPool> pool = ep->pool;
-  std::unique_ptr<Chunk> chunk;
+/// Takes a free buffer of at least `size` bytes (and at most twice that, so
+/// a short frame never pins a whole chunk) from the shard's pool, or
+/// allocates one. The returned shared_ptr's deleter gives the buffer back
+/// to the pool when the last aliasing payload dies.
+std::shared_ptr<TcpNetwork::RecvBuf> TcpNetwork::acquire_buf(
+    Endpoint* ep, const std::shared_ptr<RecvPool>& pool, size_t size) {
+  std::unique_ptr<RecvBuf> buf;
   {
     MutexLock lock(pool->mu);
-    for (auto it = pool->free_list.rbegin(); it != pool->free_list.rend(); ++it) {
-      if ((*it)->cap < min_cap) continue;
-      chunk = std::move(*it);
-      pool->bytes -= chunk->cap;
-      pool->free_list.erase(std::next(it).base());
-      break;
+    auto it = pool->free.lower_bound(size);
+    if (it != pool->free.end() && it->first <= 2 * size) {
+      buf = std::move(it->second);
+      pool->bytes -= it->first;
+      pool->free.erase(it);
     }
   }
-  if (!chunk) {
-    chunk = std::make_unique<Chunk>(min_cap);
+  if (!buf) {
+    buf = std::make_unique<RecvBuf>(size);
     ep->chunks_allocated.fetch_add(1, std::memory_order_relaxed);
   }
-  chunk->filled = 0;
-  return std::shared_ptr<Chunk>(chunk.release(), [pool](Chunk* c) {
-    std::unique_ptr<Chunk> owned(c);
+  return std::shared_ptr<RecvBuf>(buf.release(), [pool](RecvBuf* b) {
+    std::unique_ptr<RecvBuf> owned(b);
     MutexLock lock(pool->mu);
-    if (pool->bytes + owned->cap <= pool->max_bytes) {
+    if (pool->bytes + owned->cap <= kRecvPoolBytes) {
+      // In front of its equals, so the next request of this size takes the
+      // buffer that came back last, still warm in cache: steady traffic
+      // cycles the same two chunks however many a burst left in the pool.
       pool->bytes += owned->cap;
-      pool->free_list.push_back(std::move(owned));
+      const size_t cap = owned->cap;
+      pool->free.emplace_hint(pool->free.lower_bound(cap), cap, std::move(owned));
     }
   });
 }
 
-/// Guarantees room to recv into the chunk with the pending partial frame
-/// (if any) kept contiguous. Chunks still referenced by delivered payloads
-/// are never reused; unreferenced ones are recycled in place.
-bool TcpNetwork::ensure_recv_space(Endpoint* ep, ConnState& st) {
-  const size_t default_cap = std::max(opts_.recv_chunk_bytes, kMinRecv);
-  if (!st.chunk) {
-    st.chunk = acquire_chunk(ep, default_cap);
-    return true;
-  }
-  Chunk& c = *st.chunk;
-  const size_t unparsed = c.filled - st.parse_pos;
-
-  // How much contiguous room the data at parse_pos needs: exactly the next
-  // frame once its header is visible (parse_frames validated it), otherwise
-  // a minimum read window. A read window on top of a visible frame would
-  // judge a nearly complete large frame's chunk too small and copy the
-  // whole frame into a new one.
-  size_t needed = unparsed + kMinRecv;
-  if (unparsed >= 4) {
-    needed = size_t{4} + load_le32(c.data.get() + st.parse_pos);
-  }
-  if (c.cap - st.parse_pos >= needed && c.cap > c.filled) return true;
-
-  if (unparsed == 0 && st.chunk.use_count() == 1) {
-    // Nothing pending and no delivered view aliases us: recycle in place.
-    c.filled = 0;
-    st.parse_pos = 0;
-    return true;
-  }
-
-  auto fresh = acquire_chunk(ep, std::max(default_cap, needed));
-  if (unparsed > 0) {
-    // The only copy on the receive path: a partial frame's tail carried
-    // into the new chunk. Bounded by one chunk regardless of payload size
-    // (tests assert this via TestHooks::recv_stats).
-    std::memcpy(fresh->data.get(), c.data.get() + st.parse_pos, unparsed);
-    ep->tail_bytes_copied.fetch_add(unparsed, std::memory_order_relaxed);
-  }
-  fresh->filled = unparsed;
-  st.chunk = std::move(fresh);
-  st.parse_pos = 0;
-  return true;
-}
-
-/// Parses every complete frame at parse_pos, publishing envelopes whose
-/// payloads alias the chunk straight into their delivery context. The
-/// first authenticated frame on an accepted connection names the peer and
-/// adopts the connection as the outbound route to it (full duplex).
-/// Returns false to kill the connection (corrupt framing); forged MACs
-/// only drop the frame.
-bool TcpNetwork::parse_frames(Conn* conn) {
+/// Checks one whole frame (`frame` points at its length prefix, already
+/// bounds-checked) and publishes its envelope, whose payload aliases `buf`,
+/// straight into its delivery context. The first authenticated frame on an
+/// accepted connection names the peer and adopts the connection as the
+/// outbound route to it (full duplex). Returns false to kill the connection
+/// (misrouted or corrupt header); a forged MAC only drops the frame.
+bool TcpNetwork::deliver_frame(Conn* conn, const std::shared_ptr<RecvBuf>& buf,
+                               const uint8_t* frame) {
   Endpoint* ep = conn->ep;
-  ConnState& st = conn->rd;
-  Chunk& c = *st.chunk;
-  for (;;) {
-    const size_t avail = c.filled - st.parse_pos;
-    if (avail < 4) return true;
-    const uint8_t* base = c.data.get() + st.parse_pos;
-    const uint32_t frame_len = load_le32(base);
-    if (frame_len < kHeaderSize - 4 || frame_len > kMaxFrame) return false;
-    if (avail < size_t{4} + frame_len) return true;  // incomplete
+  const uint32_t frame_len = load_le32(frame);
+  Deserializer d(frame + 4, kHeaderSize - 4);
+  const ProcessId from = d.get_process_id();
+  const ProcessId to = d.get_process_id();
+  const uint64_t mac = d.get_u64();
+  if (!d.ok() || !(to == ep->pid)) return false;  // misrouted or corrupt
 
-    Deserializer d(base + 4, kHeaderSize - 4);
-    const ProcessId from = d.get_process_id();
-    const ProcessId to = d.get_process_id();
-    const uint64_t mac = d.get_u64();
-    if (!d.ok() || !(to == ep->pid)) return false;  // misrouted or corrupt
-
-    const BytesView payload(base + kHeaderSize, frame_len - (kHeaderSize - 4));
-    st.parse_pos += size_t{4} + frame_len;
-
-    if (!auth_.verify(from, to, payload, mac)) {
-      metrics_.on_auth_failure();
-      continue;  // drop the forged frame, keep the connection
-    }
-    if (!conn->peer_known) {
-      // Adoption: this (MAC-authenticated) peer reaches us over this
-      // connection, so our replies ride it back -- no dial-back, no second
-      // socket, and listen-less clients stay reachable. An existing route
-      // wins; we only fill a vacancy.
-      conn->peer = from;
-      conn->peer_known = true;
-      MutexLock lock(ep->out_mu);
-      OutQueue& q = ep->out[from];
-      if (q.conn == nullptr) {
-        q.conn = conn;
-        q.conn_shard = conn->shard;
-      }
-    }
-    metrics_.on_deliver();
-    ep->payload_bytes_delivered.fetch_add(payload.size(),
-                                          std::memory_order_relaxed);
-    net::Envelope env;
-    env.from = from;
-    env.to = to;
-    env.mac = mac;
-    env.payload = Payload(st.chunk, payload);
-    deliver(ep, std::move(env));
+  const BytesView payload(frame + kHeaderSize, frame_len - (kHeaderSize - 4));
+  if (!auth_.verify(from, to, payload, mac)) {
+    metrics_.on_auth_failure();
+    return true;  // drop the forged frame, keep the connection
   }
+  if (!conn->peer_known) {
+    // Adoption: this (MAC-authenticated) peer reaches us over this
+    // connection, so our replies ride it back -- no dial-back, no second
+    // socket, and listen-less clients stay reachable. An existing route
+    // wins; we only fill a vacancy.
+    conn->peer = from;
+    conn->peer_known = true;
+    MutexLock lock(ep->out_mu);
+    OutQueue& q = ep->out[from];
+    if (q.conn == nullptr) {
+      q.conn = conn;
+      q.conn_shard = conn->shard;
+    }
+  }
+  metrics_.on_deliver();
+  ep->payload_bytes_delivered.fetch_add(payload.size(), std::memory_order_relaxed);
+  net::Envelope env;
+  env.from = from;
+  env.to = to;
+  env.mac = mac;
+  env.payload = Payload(buf, payload);
+  deliver(ep, std::move(env));
+  return true;
 }
 
 // --- outbound --------------------------------------------------------------

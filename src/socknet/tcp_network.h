@@ -25,11 +25,17 @@
 //             frame (metrics().messages_dropped); client deadlines
 //             (registers::OpMux) retransmit.
 //
-//   Inbound   readiness-driven reads into large refcounted chunks, frames
-//             parsed in place, payload *views* aliasing the chunk
-//             (common/buffer.h) delivered with zero payload copies. Each
-//             parsed envelope is published straight into its delivery
-//             context's lock-free MPSC ring (runtime/mailbox.h).
+//   Inbound   every connection of a loop shard reads into that shard's one
+//             256 KiB receive chunk; frames are parsed in place and
+//             delivered as payload *views* aliasing it (common/buffer.h),
+//             with zero payload copies, straight into their delivery
+//             context's lock-free MPSC ring (runtime/mailbox.h). A frame
+//             cut by a read moves to its connection: fewer than 4 bytes
+//             stay as a length prefix, more get a buffer sized to the frame
+//             that later reads fill directly. So receive memory grows with
+//             loop shards, not with connections. Chunks and frame buffers
+//             come from a per-shard pool and return to it, under its mutex,
+//             when their last view dies.
 //
 //   Duplex    connections are full-duplex: the first authenticated frame
 //             on an accepted connection names the peer, and the endpoint
@@ -69,8 +75,9 @@ struct TcpConfig {
   uint64_t master_secret{0x5eC4e7B17e5eCBA5ULL};
   /// Listening address (loopback only in this build).
   const char* host{"127.0.0.1"};
-  /// Transport sizing: event-loop shards, mailbox consumers, outbox cap,
-  /// receive chunk/pool sizes. Zero fields resolve to hardware defaults
+  /// Transport sizing: event-loop shards, mailbox consumers, outbox cap.
+  /// Receive buffers are not an option: one chunk per loop shard
+  /// (TcpNetwork::kRecvChunkBytes). Zero fields resolve to hardware defaults
   /// (net::TransportOptions::resolved). SystemConfig::Builder validates
   /// and carries the same struct for deployments built from a config.
   net::TransportOptions options{};
@@ -78,6 +85,11 @@ struct TcpConfig {
 
 class TcpNetwork final : public net::Transport {
  public:
+  /// Capacity of the receive chunk every loop shard reads into. A frame
+  /// that one read cuts, such as any frame larger than this, completes in a
+  /// buffer of its own.
+  static constexpr size_t kRecvChunkBytes = 256 * 1024;
+
   explicit TcpNetwork(TcpConfig config);
   ~TcpNetwork() override;
 
@@ -128,10 +140,12 @@ class TcpNetwork final : public net::Transport {
   /// methods are safe from any external thread while the network runs.
   class TestHooks {
    public:
-    /// Receive-path accounting for the zero-copy guarantee: the only
-    /// payload bytes ever copied on delivery are partial-frame tails
-    /// carried across a chunk roll (bounded by one chunk, independent of
-    /// payload size).
+    /// Receive-path accounting for the zero-copy guarantee: the only bytes
+    /// ever copied on delivery are the part of a frame read before it
+    /// straddled a read, moved to its connection (at most one chunk per
+    /// frame, independent of payload size). `chunks_allocated` counts the
+    /// receive buffers (shard chunks and frame buffers) the pool could not
+    /// supply, charged to the endpoint whose connection asked.
     struct RecvStats {
       uint64_t chunks_allocated{0};
       uint64_t tail_bytes_copied{0};
@@ -214,31 +228,45 @@ class TcpNetwork final : public net::Transport {
     int failures{0};  // consecutive conn failures; 2 drops the backlog
   };
 
-  /// Refcounted receive chunk; delivered payloads alias it via
-  /// Payload(shared_ptr, view) and keep it alive past the reader's reuse.
-  struct Chunk {
-    explicit Chunk(size_t capacity)
+  /// Refcounted receive buffer: a shard chunk or one straddling frame.
+  /// Delivered payloads alias it via Payload(shared_ptr, view).
+  struct RecvBuf {
+    explicit RecvBuf(size_t capacity)
         : data(new uint8_t[capacity]), cap(capacity) {}
     std::unique_ptr<uint8_t[]> data;
     size_t cap;
-    size_t filled{0};
   };
 
-  /// Bounded free list of receive chunks. Shared-ptr'd independently of the
-  /// Endpoint because delivered payloads (which return chunks here from
-  /// their deleter) may outlive the network object.
-  struct ChunkPool {
-    explicit ChunkPool(size_t cap) : max_bytes(cap) {}
-    const size_t max_bytes;
+  /// Free receive buffers of one loop shard, keyed by capacity, the last
+  /// one returned first among equals. A buffer comes back here from the
+  /// deleter of its last reference, so its memory is reused only after that
+  /// hand-off through `mu`. Shared-ptr'd because delivered payloads may
+  /// outlive the network object.
+  struct RecvPool {
     Mutex mu;
-    std::vector<std::unique_ptr<Chunk>> free_list GUARDED_BY(mu);
+    std::multimap<size_t, std::unique_ptr<RecvBuf>> free GUARDED_BY(mu);
     size_t bytes GUARDED_BY(mu){0};
   };
 
-  /// Per-connection parse state (owning shard thread private).
-  struct ConnState {
-    std::shared_ptr<Chunk> chunk;
-    size_t parse_pos{0};
+  /// One loop shard's receive state (its thread only). Every connection of
+  /// the shard reads into `chunk` at `filled`; [0, filled) holds delivered
+  /// frames that payload views may still alias, and nothing aliases the
+  /// bytes past it.
+  struct RecvShard {
+    std::shared_ptr<RecvPool> pool{std::make_shared<RecvPool>()};
+    std::shared_ptr<RecvBuf> chunk;
+    size_t filled{0};
+  };
+
+  /// The part of a frame that straddled a read (owning shard's thread
+  /// only). Until its 4 length bytes are known only those are kept; then
+  /// `buf` holds the frame from its length prefix on, `have` of `size`.
+  struct Partial {
+    std::array<uint8_t, 3> prefix{};
+    size_t prefix_len{0};
+    std::shared_ptr<RecvBuf> buf;
+    size_t size{0};
+    size_t have{0};
   };
 
   // --- cross-thread entry points -------------------------------------------
@@ -258,9 +286,11 @@ class TcpNetwork final : public net::Transport {
   void accept_ready(Endpoint* ep);
   void on_conn_event(Conn* c, uint32_t events);
   bool read_conn(Conn* c);
-  bool parse_frames(Conn* c);
-  bool ensure_recv_space(Endpoint* ep, ConnState& st);
-  static std::shared_ptr<Chunk> acquire_chunk(Endpoint* ep, size_t min_cap);
+  bool deliver_frame(Conn* c, const std::shared_ptr<RecvBuf>& buf,
+                     const uint8_t* frame);
+  static std::shared_ptr<RecvBuf> acquire_buf(Endpoint* ep,
+                                              const std::shared_ptr<RecvPool>& pool,
+                                              size_t size);
   bool try_write(Conn* c);
   ssize_t write_once(Conn* c, size_t* sent_frame_bytes);
   void update_conn_events(Conn* c);
@@ -279,10 +309,12 @@ class TcpNetwork final : public net::Transport {
 
   EventLoop loop_;
   MailboxPool mail_;
-  /// shard index -> conns owned by that shard's thread. The vector itself
-  /// is immutable after construction; element s is touched only on shard
-  /// s's loop thread (and in stop(), after the join).
+  /// shard index -> conns owned by that shard's thread, and that shard's
+  /// receive chunk. The vectors themselves are immutable after
+  /// construction; element s is touched only on shard s's loop thread
+  /// (and in stop(), after the join).
   std::vector<std::map<int, std::unique_ptr<Conn>>> shard_conns_;
+  std::vector<RecvShard> shard_recv_;
 };
 
 }  // namespace bftreg::socknet

@@ -4,12 +4,15 @@
 // failure there can be attributed correctly.)
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 
 #include "adversary/byzantine_server.h"
 #include "adversary/churn.h"
+#include "harness/scenarios.h"
 #include "sim/simulator.h"
 
 namespace bftreg::adversary {
@@ -167,6 +170,80 @@ TEST_F(AdversaryFixture, StrategyNamesRoundTrip) {
     EXPECT_STRNE(to_string(kind), "?");
   }
 }
+
+// ------------------------------------------- replies name their object
+
+/// A lying strategy, and how many requests it answers honestly first.
+struct LiarCase {
+  const char* name;
+  std::function<std::unique_ptr<Strategy>()> make;
+  int honest_requests;
+};
+
+void PrintTo(const LiarCase& c, std::ostream* os) { *os << c.name; }
+
+class LiarReplyTest : public ::testing::TestWithParam<LiarCase> {};
+
+TEST_P(LiarReplyTest, EveryReplyNamesTheRequestsObject) {
+  // Clients drop a reply that names another object, so a liar that answers
+  // for object 0 is a silent server on every other object.
+  sim::Simulator sim(sim::SimConfig::with_fixed_delay(1, 10));
+  Probe probe;
+  sim.add_process(ProcessId::reader(0), &probe);
+  ServerContext ctx;
+  ctx.self = ProcessId::server(0);
+  ctx.config.n = 5;
+  ctx.config.f = 1;
+  ctx.transport = &sim;
+  ctx.initial = Bytes{'i', 'n', 'i', 't'};
+  ctx.rng = Rng(7);
+  ByzantineServer server(std::move(ctx), GetParam().make());
+  sim.add_process(ProcessId::server(0), &server);
+
+  uint64_t op = 1;
+  auto send = [&](MsgType type) {
+    RegisterMessage m;
+    m.type = type;
+    m.op_id = op++;
+    m.object = 7;
+    m.tag = Tag{3, ProcessId::writer(0)};
+    m.value = Bytes{'v'};
+    sim.send(ProcessId::reader(0), ProcessId::server(0), m.encode());
+    sim.run_until_idle();
+  };
+  for (int i = 0; i < GetParam().honest_requests; ++i) send(MsgType::kQueryTag);
+  probe.parsed.clear();
+  for (const MsgType type :
+       {MsgType::kQueryTag, MsgType::kQueryData, MsgType::kPutData}) {
+    send(type);
+  }
+  ASSERT_GE(probe.parsed.size(), 3u);
+  for (const RegisterMessage& reply : probe.parsed) {
+    EXPECT_EQ(reply.object, 7u) << to_string(reply.type);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Liars, LiarReplyTest,
+    ::testing::Values(
+        LiarCase{"stale", [] { return make_strategy(StrategyKind::kStale, 7); }, 0},
+        LiarCase{"fabricate",
+                 [] { return make_strategy(StrategyKind::kFabricate, 7); }, 0},
+        LiarCase{"collude", [] { return make_strategy(StrategyKind::kCollude, 7); },
+                 0},
+        LiarCase{"double_reply",
+                 [] { return make_strategy(StrategyKind::kDoubleReply, 7); }, 0},
+        // Honest for its first 20 requests, then stale.
+        LiarCase{"turncoat",
+                 [] { return make_strategy(StrategyKind::kTurncoat, 7); }, 20},
+        LiarCase{"lagging_liar",
+                 []() -> std::unique_ptr<Strategy> {
+                   return std::make_unique<harness::LaggingLiar>();
+                 },
+                 0}),
+    [](const ::testing::TestParamInfo<LiarCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ------------------------------------------------- churn schedules
 

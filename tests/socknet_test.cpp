@@ -3,10 +3,13 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <deque>
 #include <filesystem>
@@ -16,6 +19,8 @@
 #include <set>
 #include <thread>
 
+#include "common/serde.h"
+#include "crypto/auth.h"
 #include "registers/registers.h"
 #include "runtime/thread_network.h"
 #include "socknet/tcp_network.h"
@@ -421,9 +426,9 @@ TEST(TcpNetworkTest, DeliveryCopiesAtMostOneChunkTail) {
   net.start();
 
   // 12 MiB of payload through the receive path: the only bytes the
-  // transport may copy between kernel and handler are partial-frame tails
-  // carried across a chunk roll -- bounded by one chunk per roll, never
-  // proportional to payload size.
+  // transport may copy between kernel and handler are the part of a frame
+  // read before it straddled a read -- bounded by one chunk per frame,
+  // never proportional to payload size.
   constexpr int kMsgs = 4;
   Bytes big(3 << 20);
   for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i * 7);
@@ -436,8 +441,184 @@ TEST(TcpNetworkTest, DeliveryCopiesAtMostOneChunkTail) {
   const auto stats = net.test_hooks().recv_stats(ProcessId::server(0));
   EXPECT_EQ(stats.payload_bytes_delivered, big.size() * kMsgs);
   EXPECT_LE(stats.tail_bytes_copied,
-            static_cast<uint64_t>(kMsgs) * TcpConfig{}.options.recv_chunk_bytes);
+            static_cast<uint64_t>(kMsgs) * TcpNetwork::kRecvChunkBytes);
   EXPECT_LT(stats.tail_bytes_copied, stats.payload_bytes_delivered / 10);
+  net.stop();
+}
+
+TEST(TcpNetworkTest, ReceiveBuffersDoNotGrowWithConnections) {
+  // Every connection of a loop shard reads into that shard's one chunk, so
+  // 128 client connections cost no more receive buffers than one does.
+  constexpr uint32_t kClients = 128;
+  constexpr int kFrames = 4;
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    Counter server(ProcessId::server(0));
+    std::deque<Counter> clients;
+    TcpConfig cfg;
+    cfg.options.loop_shards = shards;
+    TcpNetwork net(cfg);
+    net.add_process(ProcessId::server(0), &server);
+    for (uint32_t i = 0; i < kClients; ++i) {
+      clients.emplace_back(ProcessId::reader(i));
+      net.add_process(ProcessId::reader(i), &clients.back(), /*listen=*/false);
+    }
+    net.start();
+    for (int k = 0; k < kFrames; ++k) {
+      for (uint32_t i = 0; i < kClients; ++i) {
+        net.send(ProcessId::reader(i), ProcessId::server(0),
+                 Bytes(64, static_cast<uint8_t>(k)));
+      }
+    }
+    ASSERT_TRUE(wait_for(
+        [&] { return server.count() == static_cast<int>(kClients) * kFrames; }));
+    EXPECT_LE(net.test_hooks().recv_stats(ProcessId::server(0)).chunks_allocated,
+              2 * shards)
+        << shards << " loop shard(s)";
+    net.stop();
+  }
+}
+
+/// A raw loopback connection to `port` with TCP_NODELAY, so every write
+/// leaves as its own segment. Reads time out after 5 s instead of hanging.
+int raw_connect(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool write_all(int fd, const uint8_t* p, size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    p += w;
+    n -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+/// One frame as TcpNetwork seals it: u32 length, from, to, and the MAC
+/// under the default master secret, then the payload.
+Bytes seal_frame(const ProcessId& from, const ProcessId& to, const Bytes& payload) {
+  const crypto::Authenticator auth(crypto::KeyRegistry(TcpConfig{}.master_secret));
+  Serializer s;
+  s.put_u32(static_cast<uint32_t>(5 + 5 + 8 + payload.size()));
+  s.put_process_id(from);
+  s.put_process_id(to);
+  s.put_u64(auth.seal(from, to, payload));
+  Bytes frame = s.take();
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(TcpNetworkTest, FramesSplitAcrossReadsArriveIntact) {
+  // A raw client cuts frames at chosen bytes: inside the length prefix,
+  // inside the 22-byte header, at the header/payload boundary, mid-payload,
+  // byte by byte, mid-header of a second frame in the same write, and
+  // across a frame larger than the shard chunk. Between pieces a second
+  // raw connection on the same (only) loop shard sends a whole frame, so
+  // the shard chunk is reused while the cut frame waits on its connection.
+  Counter server(ProcessId::server(0));
+  TcpConfig cfg;
+  cfg.options.loop_shards = 1;
+  TcpNetwork net(cfg);
+  net.add_process(ProcessId::server(0), &server);
+  net.start();
+  const uint16_t port = net.port_of(ProcessId::server(0));
+  const ProcessId to = ProcessId::server(0);
+  const int cut = raw_connect(port);
+  const int whole = raw_connect(port);
+  ASSERT_GE(cut, 0);
+  ASSERT_GE(whole, 0);
+
+  // A payload starts with its connection's marker byte.
+  auto make_payload = [](uint8_t marker, size_t seq, size_t size) {
+    Bytes p(size);
+    p[0] = marker;
+    for (size_t k = 1; k < size; ++k) p[k] = static_cast<uint8_t>(seq * 31 + k);
+    return p;
+  };
+  std::vector<Bytes> cut_sent;
+  std::vector<Bytes> whole_sent;
+  auto next_cut_frame = [&](size_t size) {
+    cut_sent.push_back(make_payload('c', cut_sent.size(), size));
+    return seal_frame(ProcessId::writer(0), to, cut_sent.back());
+  };
+  // Writes `frame` on `cut` in pieces ending at each of `cuts`, with a
+  // whole frame on `whole` and short pauses between pieces.
+  auto send_in_pieces = [&](const Bytes& bytes, std::vector<size_t> cuts) {
+    cuts.push_back(bytes.size());
+    size_t at = 0;
+    for (const size_t end : cuts) {
+      ASSERT_TRUE(write_all(cut, bytes.data() + at, end - at));
+      at = end;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      whole_sent.push_back(make_payload('w', whole_sent.size(), 40 + whole_sent.size()));
+      const Bytes f = seal_frame(ProcessId::writer(1), to, whole_sent.back());
+      ASSERT_TRUE(write_all(whole, f.data(), f.size()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+
+  constexpr size_t kHeader = 22;
+  const size_t single_cuts[] = {1, 2, 3, 10, kHeader, kHeader + 50};
+  for (const size_t at : single_cuts) send_in_pieces(next_cut_frame(100), {at});
+  {
+    const Bytes f = next_cut_frame(16);
+    std::vector<size_t> cuts;
+    for (size_t i = 1; i < f.size(); ++i) cuts.push_back(i);
+    send_in_pieces(f, cuts);
+  }
+  {
+    Bytes two = next_cut_frame(100);
+    const size_t first = two.size();
+    const Bytes second = next_cut_frame(60);
+    two.insert(two.end(), second.begin(), second.end());
+    send_in_pieces(two, {first + 12});
+  }
+  send_in_pieces(next_cut_frame(size_t{1} << 20), {100'000, 600'000});
+
+  // Exactly once, in order per connection, byte for byte.
+  const size_t total = cut_sent.size() + whole_sent.size();
+  ASSERT_TRUE(wait_for([&] { return server.count() == static_cast<int>(total); }));
+  std::vector<Bytes> cut_got;
+  std::vector<Bytes> whole_got;
+  for (size_t i = 0; i < total; ++i) {
+    Bytes p = server.payload(i);
+    (p.at(0) == 'c' ? cut_got : whole_got).push_back(std::move(p));
+  }
+  EXPECT_EQ(cut_got, cut_sent);
+  EXPECT_EQ(whole_got, whole_sent);
+
+  // A length prefix above the 64 MiB frame cap closes the connection...
+  Serializer too_long;
+  too_long.put_u32((64u << 20) + 1);
+  ASSERT_TRUE(write_all(cut, too_long.buffer().data(), too_long.size()));
+  uint8_t byte = 0;
+  const ssize_t r = ::recv(cut, &byte, 1, 0);
+  EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET))
+      << "recv returned " << r << ", errno " << errno;
+  // ...and a fresh connection still delivers.
+  const int fresh = raw_connect(port);
+  ASSERT_GE(fresh, 0);
+  const Bytes last = make_payload('f', 0, 30);
+  const Bytes f = seal_frame(ProcessId::writer(2), to, last);
+  ASSERT_TRUE(write_all(fresh, f.data(), f.size()));
+  ASSERT_TRUE(
+      wait_for([&] { return server.count() == static_cast<int>(total) + 1; }));
+  EXPECT_EQ(server.payload(total), last);
+  for (const int fd : {cut, whole, fresh}) ::close(fd);
   net.stop();
 }
 
