@@ -7,6 +7,7 @@
 // failure through `ok()` instead of crashing.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -65,6 +66,47 @@ class Serializer {
     put_process_id(t.writer);
   }
 
+  // --- compact (variable-width) encodings ---------------------------------
+  //
+  // Shortest-form unsigned LEB128: seven value bits per byte, low group
+  // first, the high bit set on every byte but the last. Values below 128
+  // take one byte, and a u64 at most ten.
+
+  void put_varint(uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<uint8_t>(v));
+  }
+
+  /// Compact tag: varint(num), then varint(writer index << 2 | role).
+  void put_compact_tag(const Tag& t) {
+    put_varint(t.num);
+    put_varint(compact_writer(t.writer));
+  }
+
+  /// Varint length, then the bytes.
+  void put_compact_bytes(BytesView b) {
+    put_varint(b.size());
+    buf_.insert(buf_.end(), b.begin(), b.end());
+  }
+
+  static size_t varint_size(uint64_t v) {
+    size_t n = 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++n;
+    }
+    return n;
+  }
+  static size_t compact_tag_size(const Tag& t) {
+    return varint_size(t.num) + varint_size(compact_writer(t.writer));
+  }
+  static size_t compact_bytes_size(size_t len) {
+    return varint_size(len) + len;
+  }
+
   size_t size() const { return buf_.size(); }
 
   /// Moves the accumulated buffer out; the serializer is reset. Discarding
@@ -74,6 +116,11 @@ class Serializer {
   const Bytes& buffer() const { return buf_; }
 
  private:
+  static uint64_t compact_writer(const ProcessId& id) {
+    return (static_cast<uint64_t>(id.index) << 2) |
+           static_cast<uint64_t>(id.role);
+  }
+
   void put_uint(uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) {
       buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -147,6 +194,67 @@ class Deserializer {
     t.num = get_u64();
     t.writer = get_process_id();
     return t;
+  }
+
+  // --- compact (variable-width) encodings ---------------------------------
+
+  /// Shortest-form LEB128 (Serializer::put_varint). Fails on truncation, on
+  /// an overlong encoding (a final group byte of 0 after the first), and on
+  /// a value wider than 64 bits, so every value has exactly one encoding.
+  uint64_t get_varint() {
+    uint64_t v = 0;
+    for (int shift = 0; ok_ && pos_ < size_; shift += 7) {
+      const uint8_t b = data_[pos_++];
+      // The tenth byte holds bit 63 only: anything else overflows.
+      if (shift == 63 && b > 1) break;
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0) break;  // overlong
+        return v;
+      }
+    }
+    ok_ = false;
+    return 0;
+  }
+
+  /// A varint that must fit a u32 field (object ids).
+  uint32_t get_varint32() {
+    const uint64_t v = get_varint();
+    if (v > UINT32_MAX) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<uint32_t>(v);
+  }
+
+  /// Compact tag (Serializer::put_compact_tag). Role 3 and writer indices
+  /// past u32 fail.
+  Tag get_compact_tag() {
+    Tag t;
+    t.num = get_varint();
+    const uint64_t writer = get_varint();
+    const uint64_t role = writer & 3;
+    const uint64_t index = writer >> 2;
+    if (!ok_ || role > static_cast<uint8_t>(Role::kReader) ||
+        index > UINT32_MAX) {
+      ok_ = false;
+      return {};
+    }
+    t.writer = ProcessId{static_cast<Role>(role), static_cast<uint32_t>(index)};
+    return t;
+  }
+
+  /// Compact bytes (Serializer::put_compact_bytes) as a zero-copy view, like
+  /// get_bytes_view.
+  BytesView get_compact_bytes_view() {
+    const uint64_t len = get_varint();
+    if (!ok_ || remaining() < len) {
+      ok_ = false;
+      return {};
+    }
+    const BytesView out(data_ + pos_, len);
+    pos_ += len;
+    return out;
   }
 
  private:

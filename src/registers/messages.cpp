@@ -7,6 +7,43 @@ namespace bftreg::registers {
 namespace {
 constexpr uint8_t kMinType = static_cast<uint8_t>(MsgType::kQueryTag);
 constexpr uint8_t kMaxType = static_cast<uint8_t>(MsgType::kViewAnnounce);
+
+/// Type, op id and object: the fixed-width prefix.
+constexpr size_t kFixedBytes = 1 + 8 + 4;
+
+/// Presence byte: one bit per optional field; bits 6-7 are reserved.
+enum Presence : uint8_t {
+  kHasTag = 1 << 0,
+  kHasValue = 1 << 1,
+  kHasHistory = 1 << 2,
+  kHasTags = 1 << 3,
+  kHasObjects = 1 << 4,
+  kHasEpoch = 1 << 5,
+};
+constexpr uint8_t kPresenceMask = (1 << 6) - 1;
+
+/// Smallest compact tag: one varint byte each for num and writer.
+constexpr size_t kMinTagBytes = 2;
+
+/// A list count just read from `d`: nonzero (present lists are never empty),
+/// and no larger than the remaining bytes could hold, so a forged count fails
+/// before anything is reserved. The bound divides: a 64-bit count times
+/// the entry size can wrap past a multiplied check.
+bool count_fits(const Deserializer& d, uint64_t count, size_t min_entry_bytes) {
+  return d.ok() && count != 0 && count <= d.remaining() / min_entry_bytes;
+}
+
+/// A field is present iff it differs from its default.
+uint8_t presence_of(const RegisterMessage& m) {
+  uint8_t p = 0;
+  if (m.tag != Tag{}) p |= kHasTag;
+  if (!m.value.empty()) p |= kHasValue;
+  if (!m.history.empty()) p |= kHasHistory;
+  if (!m.tags.empty()) p |= kHasTags;
+  if (!m.objects.empty()) p |= kHasObjects;
+  if (m.epoch != 0) p |= kHasEpoch;
+  return p;
+}
 }  // namespace
 
 const char* to_string(MsgType t) {
@@ -38,32 +75,53 @@ const char* to_string(MsgType t) {
 }
 
 Bytes RegisterMessage::encode() const {
+  const uint8_t presence = presence_of(*this);
   // Exact wire size, so the buffer is allocated once and the (often large)
-  // coded elements append without any realloc re-copy: fixed fields 13 +
-  // tag 13 + 4 length prefixes + trailing epoch 8, plus 17 per history
-  // entry (tag + length prefix), 13 per tag, 4 per object id, plus the raw
-  // payload bytes.
-  size_t total = 13 + 13 + 4 * 4 + 8 + value.size();
-  for (const auto& tv : history) total += 17 + tv.value.size();
-  total += 13 * tags.size() + 4 * objects.size();
+  // coded elements append without any realloc re-copy.
+  size_t total = kFixedBytes + 1;
+  if (presence & kHasTag) total += Serializer::compact_tag_size(tag);
+  if (presence & kHasValue) total += Serializer::compact_bytes_size(value.size());
+  if (presence & kHasHistory) {
+    total += Serializer::varint_size(history.size());
+    for (const auto& tv : history) {
+      total += Serializer::compact_tag_size(tv.tag) +
+               Serializer::compact_bytes_size(tv.value.size());
+    }
+  }
+  if (presence & kHasTags) {
+    total += Serializer::varint_size(tags.size());
+    for (const Tag& t : tags) total += Serializer::compact_tag_size(t);
+  }
+  if (presence & kHasObjects) {
+    total += Serializer::varint_size(objects.size());
+    for (const uint32_t o : objects) total += Serializer::varint_size(o);
+  }
+  if (presence & kHasEpoch) total += Serializer::varint_size(epoch);
 
   Serializer s;
   s.reserve(total);
   s.put_u8(static_cast<uint8_t>(type));
   s.put_u64(op_id);
   s.put_u32(object);
-  s.put_tag(tag);
-  s.put_bytes(value);
-  s.put_u32(static_cast<uint32_t>(history.size()));
-  for (const auto& tv : history) {
-    s.put_tag(tv.tag);
-    s.put_bytes(tv.value);
+  s.put_u8(presence);
+  if (presence & kHasTag) s.put_compact_tag(tag);
+  if (presence & kHasValue) s.put_compact_bytes(value);
+  if (presence & kHasHistory) {
+    s.put_varint(history.size());
+    for (const auto& tv : history) {
+      s.put_compact_tag(tv.tag);
+      s.put_compact_bytes(tv.value);
+    }
   }
-  s.put_u32(static_cast<uint32_t>(tags.size()));
-  for (const auto& t : tags) s.put_tag(t);
-  s.put_u32(static_cast<uint32_t>(objects.size()));
-  for (const uint32_t o : objects) s.put_u32(o);
-  s.put_u64(epoch);
+  if (presence & kHasTags) {
+    s.put_varint(tags.size());
+    for (const Tag& t : tags) s.put_compact_tag(t);
+  }
+  if (presence & kHasObjects) {
+    s.put_varint(objects.size());
+    for (const uint32_t o : objects) s.put_varint(o);
+  }
+  if (presence & kHasEpoch) s.put_varint(epoch);
   return s.take();
 }
 
@@ -75,42 +133,51 @@ std::optional<RegisterMessage> RegisterMessage::parse(BytesView payload) {
   m.type = static_cast<MsgType>(type);
   m.op_id = d.get_u64();
   m.object = d.get_u32();
-  m.tag = d.get_tag();
-  // Large payloads (coded elements) flow through the zero-copy view and
-  // land in their owning vector with exactly one copy.
-  const BytesView value = d.get_bytes_view();
-  m.value.assign(value.begin(), value.end());
+  const uint8_t presence = d.get_u8();
+  if (!d.ok() || (presence & ~kPresenceMask) != 0) return std::nullopt;
 
-  const uint32_t history_count = d.get_u32();
-  if (!d.ok()) return std::nullopt;
-  // Each entry needs at least a tag (13 bytes) + length prefix (4); a count
-  // larger than the remaining bytes could allow is a forgery.
-  if (static_cast<size_t>(history_count) * 17 > d.remaining()) return std::nullopt;
-  m.history.reserve(history_count);
-  for (uint32_t i = 0; i < history_count; ++i) {
-    TaggedValue tv;
-    tv.tag = d.get_tag();
-    const BytesView hv = d.get_bytes_view();
-    if (!d.ok()) return std::nullopt;
-    tv.value.assign(hv.begin(), hv.end());
-    m.history.push_back(std::move(tv));
+  // Canonical form: a present field never holds its default, so every
+  // message has exactly one encoding.
+  if (presence & kHasTag) {
+    m.tag = d.get_compact_tag();
+    if (!d.ok() || m.tag == Tag{}) return std::nullopt;
   }
-
-  const uint32_t tag_count = d.get_u32();
-  if (!d.ok()) return std::nullopt;
-  if (static_cast<size_t>(tag_count) * 13 > d.remaining()) return std::nullopt;
-  m.tags.reserve(tag_count);
-  for (uint32_t i = 0; i < tag_count; ++i) {
-    m.tags.push_back(d.get_tag());
+  if (presence & kHasValue) {
+    // Large payloads (coded elements) flow through the zero-copy view and
+    // land in their owning vector with exactly one copy.
+    const BytesView value = d.get_compact_bytes_view();
+    if (!d.ok() || value.empty()) return std::nullopt;
+    m.value.assign(value.begin(), value.end());
   }
-
-  const uint32_t object_count = d.get_u32();
-  if (!d.ok()) return std::nullopt;
-  if (static_cast<size_t>(object_count) * 4 > d.remaining()) return std::nullopt;
-  m.objects.reserve(object_count);
-  for (uint32_t i = 0; i < object_count; ++i) m.objects.push_back(d.get_u32());
-
-  m.epoch = d.get_u64();
+  if (presence & kHasHistory) {
+    const uint64_t count = d.get_varint();
+    if (!count_fits(d, count, kMinTagBytes + 1)) return std::nullopt;
+    m.history.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      TaggedValue tv;
+      tv.tag = d.get_compact_tag();
+      const BytesView hv = d.get_compact_bytes_view();
+      if (!d.ok()) return std::nullopt;
+      tv.value.assign(hv.begin(), hv.end());
+      m.history.push_back(std::move(tv));
+    }
+  }
+  if (presence & kHasTags) {
+    const uint64_t count = d.get_varint();
+    if (!count_fits(d, count, kMinTagBytes)) return std::nullopt;
+    m.tags.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) m.tags.push_back(d.get_compact_tag());
+  }
+  if (presence & kHasObjects) {
+    const uint64_t count = d.get_varint();
+    if (!count_fits(d, count, 1)) return std::nullopt;
+    m.objects.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) m.objects.push_back(d.get_varint32());
+  }
+  if (presence & kHasEpoch) {
+    m.epoch = d.get_varint();
+    if (m.epoch == 0) return std::nullopt;
+  }
 
   if (!d.done()) return std::nullopt;
   return m;

@@ -5,6 +5,27 @@
 // guards all of them: a Byzantine server's payload is parsed bounds-checked
 // and rejected as a unit if malformed. Client requests carry an `op_id` so
 // responses straggling in from a previous operation are ignored.
+//
+// Wire layout (compact and canonical):
+//
+//   offset 0   type       u8
+//   offset 1   op_id      u64 little-endian
+//   offset 9   object     u32 little-endian
+//   offset 13  presence   u8: bit 0 tag, 1 value, 2 history, 3 tags,
+//                         4 objects, 5 epoch; bits 6-7 are zero
+//   then each present field, in bit order:
+//     tag      varint(num), varint(writer index << 2 | role)
+//     value    varint(length), bytes
+//     history  varint(count), then count x (tag, value)
+//     tags     varint(count), then count x tag
+//     objects  varint(count), then count x varint(id)
+//     epoch    varint
+//
+// Varints are shortest-form unsigned LEB128 (common/serde.h). Bytes 0-12
+// are fixed-width so routing can peek the type, op id and object in place
+// (RegisterServer::shard_of). A field is present iff it differs from its
+// default (Tag{}, empty, 0), and parse() accepts only that form, so
+// parse(encode(m)) == m and encode(parse(b)) == b for every accepted b.
 #pragma once
 
 #include <cstdint>
@@ -73,16 +94,20 @@ struct RegisterMessage {
                                      // member server indices (kViewAnnounce)
   /// Membership epoch this message was sent under. Servers stamp their
   /// current epoch into every reply so clients learn of view changes by
-  /// piggyback; 0 is the initial (static) view. Trails the wire format so
-  /// the object-id peek at offset 9 (RegisterServer::shard_of) is
-  /// untouched.
+  /// piggyback; 0 is the initial (static) view, which costs no wire bytes.
   uint64_t epoch{0};
 
+  /// Exact-size encoding: one allocation per message.
   Bytes encode() const;
 
-  /// Defensive parse; nullopt on any malformation (wrong type byte,
-  /// truncation, oversized counts, trailing bytes).
+  /// Defensive parse; nullopt on any malformation or non-canonical form:
+  /// wrong type byte, reserved presence bits, a present field holding its
+  /// default, overlong or over-wide varints, u32 fields out of range, role
+  /// 3, counts or lengths the remaining bytes cannot hold, truncation, and
+  /// trailing bytes.
   static std::optional<RegisterMessage> parse(BytesView payload);
+
+  friend bool operator==(const RegisterMessage&, const RegisterMessage&) = default;
 };
 
 const char* to_string(MsgType t);

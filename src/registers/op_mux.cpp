@@ -18,9 +18,10 @@ void PendingOp::send_to_all_servers(RegisterMessage& msg) {
   // mux compares it against later views to find straddling ops.
   view_epoch_ = mux_->view_epoch();
   msg.epoch = view_epoch_;
-  const Bytes payload = msg.encode();
+  // One buffer for the whole fan-out: every destination shares it.
+  const Payload payload(msg.encode());
   for (const uint32_t i : mux_->view().members) {
-    transport()->send(self(), ProcessId::server(i), payload);
+    transport()->send_payload(self(), ProcessId::server(i), payload);
   }
 }
 
@@ -129,24 +130,53 @@ std::unique_ptr<PendingOp> OpMux::detach(uint64_t op_id) {
   assert(it != ops_.end() && "detach of an op not in flight");
   std::unique_ptr<PendingOp> op = std::move(it->second);
   ops_.erase(it);
+  disarm(op.get());
   return op;
 }
 
 void OpMux::arm_timer(PendingOp* op) {
-  const uint64_t gen = ++op->timer_gen_;
-  transport_->post_after(
-      self_, op->cur_timeout_,
-      [this, alive = alive_, id = op->op_id_, gen] {
-        if (!alive->load()) return;
-        on_timer(id, gen);
-      });
+  op->deadline_ = transport_->now() + op->cur_timeout_;
+  op->deadline_seq_ = ++arms_;
+  deadlines_.emplace(DeadlineKey{op->deadline_, op->deadline_seq_}, op->op_id_);
+  schedule_timer();
 }
 
-void OpMux::on_timer(uint64_t op_id, uint64_t gen) {
-  auto it = ops_.find(op_id);
-  if (it == ops_.end()) return;  // completed before the deadline
-  PendingOp* op = it->second.get();
-  if (op->timer_gen_ != gen) return;  // a newer attempt superseded this timer
+void OpMux::disarm(PendingOp* op) {
+  if (op->deadline_seq_ == 0) return;
+  deadlines_.erase(DeadlineKey{op->deadline_, op->deadline_seq_});
+  op->deadline_seq_ = 0;
+}
+
+void OpMux::schedule_timer() {
+  if (expiring_ || deadlines_.empty()) return;
+  const TimeNs next = deadlines_.begin()->first.first;
+  if (timer_at_ && *timer_at_ <= next) return;
+  timer_at_ = next;
+  const TimeNs now = transport_->now();
+  transport_->post_after(self_, next > now ? next - now : 0,
+                         [this, alive = alive_, gen = ++timer_gen_] {
+                           if (!alive->load()) return;
+                           on_timer(gen);
+                         });
+}
+
+void OpMux::on_timer(uint64_t gen) {
+  if (gen != timer_gen_) return;  // superseded by an earlier deadline's timer
+  timer_at_.reset();
+  expiring_ = true;
+  const TimeNs now = transport_->now();
+  while (!deadlines_.empty() && deadlines_.begin()->first.first <= now) {
+    const auto it = ops_.find(deadlines_.begin()->second);
+    assert(it != ops_.end() && "a live deadline outlived its op");
+    PendingOp* op = it->second.get();
+    disarm(op);
+    expire(op);
+  }
+  expiring_ = false;
+  schedule_timer();
+}
+
+void OpMux::expire(PendingOp* op) {
   if (op->retries_ < op->policy_.max_retries) {
     ++op->retries_;
     ++retransmits_;

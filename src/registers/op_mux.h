@@ -24,7 +24,9 @@
 //     replies to the first attempt still count toward the quorum) with
 //     multiplicative backoff, until the retry budget is exhausted and the
 //     operation completes with its protocol's fallback state, flagged
-//     timed_out.
+//     timed_out. The live deadlines sit in one ordered table, and the mux
+//     keeps at most one transport timer posted, for the earliest of them:
+//     an operation that completes in time costs no timer at all.
 //
 // Protocol logic (what to send, how to count witnesses, when the operation
 // is done) stays in PendingOp subclasses (protocol_ops.h); OpMux owns only
@@ -34,8 +36,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "net/transport.h"
 #include "registers/config.h"
@@ -134,7 +139,9 @@ class PendingOp {
   uint32_t object_{0};
   TimeNs invoked_at_{0};
   uint32_t retries_{0};
-  uint64_t timer_gen_{0};
+  /// This op's entry in OpMux::deadlines_; deadline_seq_ 0 = none.
+  TimeNs deadline_{0};
+  uint64_t deadline_seq_{0};
   bool timed_out_{false};
   RetryPolicy policy_{};
   TimeNs cur_timeout_{0};
@@ -205,9 +212,21 @@ class OpMux final {
  private:
   friend class PendingOp;
 
+  /// A live deadline: (when, arm order).
+  using DeadlineKey = std::pair<TimeNs, uint64_t>;
+
   std::unique_ptr<PendingOp> detach(uint64_t op_id);
+  /// Enters `op`'s deadline, now + its current timeout.
   void arm_timer(PendingOp* op);
-  void on_timer(uint64_t op_id, uint64_t gen);
+  void disarm(PendingOp* op);
+  /// Posts the timer for the earliest live deadline, unless one is already
+  /// posted that fires no later.
+  void schedule_timer();
+  /// The posted timer fired: expires every due op, earliest deadline
+  /// first (ties in arm order), then posts for the next live deadline.
+  void on_timer(uint64_t gen);
+  /// `op` missed its deadline: retransmit with backoff, or time out.
+  void expire(PendingOp* op);
   uint64_t allocate_op_id(OpKind kind, uint32_t object);
   /// The view advanced: re-issue every in-flight op that last sent under an
   /// older epoch. retransmit() never completes/detaches an op, so iterating
@@ -223,6 +242,17 @@ class OpMux final {
   /// Namespace hash -> next sequence number (starts at 1; 0 is never used,
   /// so a wire id of 0 is never valid).
   std::unordered_map<uint32_t, uint32_t> next_seq_;
+
+  /// Live deadlines -> op id. An op's entry leaves when it completes.
+  std::map<DeadlineKey, uint64_t> deadlines_;
+  uint64_t arms_{0};
+  /// The deadline the posted timer fires at, if one is posted. Transport
+  /// timers cannot be withdrawn, so a timer superseded by an earlier
+  /// deadline stays queued; timer_gen_ makes its fire a no-op.
+  std::optional<TimeNs> timer_at_;
+  uint64_t timer_gen_{0};
+  /// on_timer is expiring ops: arms wait for its one schedule_timer().
+  bool expiring_{false};
 
   /// Timer closures handed to Transport::post_after may outlive this mux
   /// (the transport drains queues on its own schedule); they hold this flag

@@ -32,10 +32,12 @@ uint32_t RegisterServer::delivery_shards() const {
 }
 
 uint32_t RegisterServer::shard_of(const net::Envelope& env) const {
-  // Wire layout (messages.cpp): type u8 at 0, op_id u64 at 1, object u32
-  // little-endian at 9. Peeking avoids a full defensive parse per routing
-  // decision; anything shorter than the fixed prefix cannot be a valid
-  // message and lands on shard 0 for the parser to reject.
+  // Wire layout (messages.h): the compact encoding keeps a fixed-width
+  // prefix -- type u8 at 0, op_id u64 at 1, object u32 little-endian at 9
+  // -- ahead of its presence byte and varint fields. Peeking avoids a full
+  // defensive parse per routing decision; anything shorter than the fixed
+  // prefix cannot be a valid message and lands on shard 0 for the parser
+  // to reject.
   constexpr size_t kObjectOffset = 1 + 8;
   if (env.payload.size() < kObjectOffset + 4) return 0;
   const uint8_t* p = env.payload.data() + kObjectOffset;
@@ -153,10 +155,10 @@ void RegisterServer::broadcast_view(uint64_t epoch,
   msg.type = MsgType::kViewAnnounce;
   msg.objects = members;
   msg.epoch = epoch;  // the announced epoch, not (necessarily) our newest
-  const Bytes payload = msg.encode();
+  const Payload payload(msg.encode());
   for (const ProcessId& to : recipients) {
     if (to == self_) continue;
-    transport_->send(self_, to, payload);
+    transport_->send_payload(self_, to, payload);
   }
 }
 

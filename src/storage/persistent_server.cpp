@@ -94,9 +94,9 @@ void PersistentRegisterServer::begin_catch_up() {
   query.type = MsgType::kQueryObjects;
   query.op_id = kCatchUpObjectsOp;
   query.epoch = view_epoch();
-  const Bytes payload = query.encode();
+  const Payload payload(query.encode());
   for (const ProcessId& p : peers()) {
-    transport_->send(self_, p, payload);
+    transport_->send_payload(self_, p, payload);
   }
 }
 
@@ -189,9 +189,9 @@ void PersistentRegisterServer::start_batch_phase() {
     }
     query.objects.push_back(object);
   }
-  const Bytes payload = query.encode();
+  const Payload payload(query.encode());
   for (const ProcessId& p : peers()) {
-    transport_->send(self_, p, payload);
+    transport_->send_payload(self_, p, payload);
   }
 }
 

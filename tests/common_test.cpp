@@ -126,6 +126,95 @@ TEST(SerdeTest, OversizedLengthPrefixFailsGracefully) {
   EXPECT_FALSE(d.ok());
 }
 
+TEST(SerdeTest, VarintsAreShortestLeb128) {
+  const struct {
+    uint64_t value;
+    Bytes wire;
+  } cases[] = {
+      {0, {0x00}},
+      {1, {0x01}},
+      {127, {0x7f}},
+      {128, {0x80, 0x01}},
+      {300, {0xac, 0x02}},
+      {16383, {0xff, 0x7f}},
+      {16384, {0x80, 0x80, 0x01}},
+      {UINT32_MAX, {0xff, 0xff, 0xff, 0xff, 0x0f}},
+      {1ULL << 63, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+      {UINT64_MAX, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+  };
+  for (const auto& c : cases) {
+    Serializer s;
+    s.put_varint(c.value);
+    EXPECT_EQ(s.buffer(), c.wire) << c.value;
+    EXPECT_EQ(Serializer::varint_size(c.value), c.wire.size()) << c.value;
+    Deserializer d(c.wire);
+    EXPECT_EQ(d.get_varint(), c.value);
+    EXPECT_TRUE(d.done()) << c.value;
+  }
+}
+
+TEST(SerdeTest, NonCanonicalVarintsFail) {
+  const Bytes bad[] = {
+      {},                  // empty
+      {0x80},              // truncated
+      {0x81, 0x00},        // overlong 1
+      {0x80, 0x80, 0x00},  // overlong 0
+      // 65 bits: the tenth byte may carry only bit 63.
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81, 0x00},
+  };
+  for (const Bytes& b : bad) {
+    Deserializer d(b);
+    EXPECT_EQ(d.get_varint(), 0u);
+    EXPECT_FALSE(d.ok()) << b.size();
+  }
+  const Bytes two_pow_32{0x80, 0x80, 0x80, 0x80, 0x10};
+  Deserializer too_wide(two_pow_32);
+  EXPECT_EQ(too_wide.get_varint32(), 0u);
+  EXPECT_FALSE(too_wide.ok());
+}
+
+TEST(SerdeTest, CompactTagAndBytesRoundTrip) {
+  const Tag tags[] = {Tag{}, Tag{1, ProcessId::writer(2)},
+                      Tag{UINT64_MAX, ProcessId::reader(UINT32_MAX)}};
+  Serializer s;
+  for (const Tag& t : tags) s.put_compact_tag(t);
+  s.put_compact_bytes(Bytes{1, 2, 3});
+  s.put_compact_bytes(Bytes{});
+  size_t expect = Serializer::compact_bytes_size(3) + Serializer::compact_bytes_size(0);
+  for (const Tag& t : tags) expect += Serializer::compact_tag_size(t);
+  EXPECT_EQ(s.size(), expect);
+  EXPECT_EQ(Serializer::compact_tag_size(tags[1]), 2u);
+
+  Deserializer d(s.buffer());
+  for (const Tag& t : tags) EXPECT_EQ(d.get_compact_tag(), t);
+  const BytesView v = d.get_compact_bytes_view();
+  EXPECT_EQ(Bytes(v.begin(), v.end()), (Bytes{1, 2, 3}));
+  EXPECT_TRUE(d.get_compact_bytes_view().empty());
+  EXPECT_TRUE(d.done());
+}
+
+TEST(SerdeTest, CompactTagRejectsRole3AndWideIndex) {
+  const Bytes role3_wire{0x01, 0x03};
+  Deserializer role3(role3_wire);
+  role3.get_compact_tag();
+  EXPECT_FALSE(role3.ok());
+  // index 2^32, role writer: (2^32 << 2) | 1 = 2^34 + 1.
+  Serializer s;
+  s.put_varint(1);
+  s.put_varint((1ULL << 34) | 1);
+  Deserializer wide(s.buffer());
+  wide.get_compact_tag();
+  EXPECT_FALSE(wide.ok());
+}
+
+TEST(SerdeTest, CompactBytesLengthBeyondBufferFails) {
+  const Bytes wire{0x05, 1, 2, 3, 4};
+  Deserializer d(wire);
+  EXPECT_TRUE(d.get_compact_bytes_view().empty());
+  EXPECT_FALSE(d.ok());
+}
+
 TEST(SerdeTest, InvalidRoleByteFailsGracefully) {
   Serializer s;
   s.put_u8(99);  // not a valid Role

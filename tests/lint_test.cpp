@@ -616,6 +616,84 @@ TEST(LintSerdeSymmetry, SymmetricPairAndWidthClassesClean) {
   EXPECT_FALSE(has_rule(lint_program(files), "serde-symmetry"));
 }
 
+TEST(LintSerdeSymmetry, VarintReadAsFixedWidthCaught) {
+  const std::vector<SourceFile> files = {
+      {"src/registers/msg.cpp",
+       "Bytes Msg::encode() const {\n"
+       "  Serializer s;\n"
+       "  s.put_u8(type);\n"
+       "  s.put_varint(count);\n"
+       "  return s.take();\n"
+       "}\n"
+       "std::optional<Msg> Msg::parse(BytesView in) {\n"
+       "  Deserializer d(in);\n"
+       "  Msg m;\n"
+       "  m.type = d.get_u8();\n"
+       "  m.count = d.get_u32();\n"
+       "  return m;\n"
+       "}\n"},
+  };
+  const auto vs = lint_program(files);
+  const Violation* v = find_rule(vs, "serde-symmetry");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->line, 11);
+  EXPECT_NE(v->message.find("put_varint"), std::string::npos) << v->message;
+  EXPECT_NE(v->message.find("get_u32"), std::string::npos) << v->message;
+}
+
+TEST(LintSerdeSymmetry, CompactTagReadAsFixedTagCaught) {
+  const std::vector<SourceFile> files = {
+      {"src/registers/msg.cpp",
+       "Bytes Msg::encode() const {\n"
+       "  Serializer s;\n"
+       "  if (has_tag) s.put_compact_tag(tag);\n"
+       "  s.put_compact_bytes(value);\n"
+       "  return s.take();\n"
+       "}\n"
+       "std::optional<Msg> Msg::parse(BytesView in) {\n"
+       "  Deserializer d(in);\n"
+       "  Msg m;\n"
+       "  if (has_tag) m.tag = d.get_tag();\n"
+       "  m.value = d.get_compact_bytes_view();\n"
+       "  return m;\n"
+       "}\n"},
+  };
+  const auto vs = lint_program(files);
+  const Violation* v = find_rule(vs, "serde-symmetry");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->line, 10);
+  EXPECT_NE(v->message.find("put_compact_tag"), std::string::npos) << v->message;
+  EXPECT_NE(v->message.find("get_tag"), std::string::npos) << v->message;
+}
+
+TEST(LintSerdeSymmetry, MatchedCompactPairClean) {
+  // get_varint32 is a varint with a range check, and compact_bytes_view
+  // reads what compact_bytes writes.
+  const std::vector<SourceFile> files = {
+      {"src/registers/msg.cpp",
+       "Bytes Msg::encode() const {\n"
+       "  Serializer s;\n"
+       "  s.put_u32(object);\n"
+       "  s.put_compact_tag(tag);\n"
+       "  s.put_compact_bytes(value);\n"
+       "  s.put_varint(id);\n"
+       "  s.put_varint(epoch);\n"
+       "  return s.take();\n"
+       "}\n"
+       "std::optional<Msg> Msg::parse(BytesView in) {\n"
+       "  Deserializer d(in);\n"
+       "  Msg m;\n"
+       "  m.object = d.get_u32();\n"
+       "  m.tag = d.get_compact_tag();\n"
+       "  m.value = d.get_compact_bytes_view();\n"
+       "  m.id = d.get_varint32();\n"
+       "  m.epoch = d.get_varint();\n"
+       "  return m;\n"
+       "}\n"},
+  };
+  EXPECT_FALSE(has_rule(lint_program(files), "serde-symmetry"));
+}
+
 TEST(LintUncheckedResult, DiscardedResultReturnFlagged) {
   const std::vector<SourceFile> files = {
       {"src/registers/config.cpp",

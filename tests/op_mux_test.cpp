@@ -227,6 +227,120 @@ TEST_F(StragglerTest, ConcurrentReadsOfDifferentObjectsDoNotCross) {
   EXPECT_EQ(r2.value, val("two"));
 }
 
+// --- fan-out -----------------------------------------------------------------
+
+using FanOutTest = StragglerTest;
+
+TEST_F(FanOutTest, OneReadSendsOneSharedPayloadToEveryServer) {
+  // The n QUERY-DATA envelopes of one read alias one encoded buffer: the
+  // fan-out costs one encode and one allocation, not n copies.
+  std::vector<const void*> owners;
+  sim_.delay_model().set_hook(
+      [&](const net::Envelope& env) -> std::optional<TimeNs> {
+        const auto m = RegisterMessage::parse(env.payload);
+        if (env.from == client_->id() && m && m->type == MsgType::kQueryData) {
+          owners.push_back(env.payload.owner());
+        }
+        return std::nullopt;
+      });
+  bool done = false;
+  sim_.post(client_->id(), [&] {
+    client_->read(0, [&](const ReadResult&) { done = true; });
+  });
+  ASSERT_TRUE(sim_.run_until([&] { return done; }));
+  sim_.delay_model().clear_hook();
+  ASSERT_EQ(owners.size(), config_.n);
+  for (const void* owner : owners) EXPECT_EQ(owner, owners.front());
+}
+
+// --- one armed deadline per client -----------------------------------------
+
+/// Forwards everything to the simulator and counts post_after calls.
+class TimerCountingTransport final : public net::Transport {
+ public:
+  explicit TimerCountingTransport(sim::Simulator& sim) : sim_(sim) {}
+
+  void send_payload(const ProcessId& from, const ProcessId& to,
+                    Payload payload) override {
+    sim_.send_payload(from, to, std::move(payload));
+  }
+  TimeNs now() const override { return sim_.now(); }
+  void post(const ProcessId& pid, std::function<void()> fn) override {
+    sim_.post(pid, std::move(fn));
+  }
+  void post_after(const ProcessId& pid, TimeNs delta,
+                  std::function<void()> fn) override {
+    ++timers;
+    sim_.post_after(pid, delta, std::move(fn));
+  }
+  net::NetworkMetrics& metrics() override { return sim_.metrics(); }
+
+  int timers{0};
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(DeadlineTimerTest, ReadsThatBeatTheirDeadlinesShareOneTimer) {
+  sim::Simulator sim(sim::SimConfig::with_uniform_delay(3, 1'000, 1'000));
+  const SystemConfig config = SystemConfig::builder().n(5).f(1).build_for_bsr().value();
+  std::vector<std::unique_ptr<RegisterServer>> servers;
+  for (uint32_t i = 0; i < config.n; ++i) {
+    servers.push_back(std::make_unique<RegisterServer>(ProcessId::server(i),
+                                                       config, &sim, Bytes{}));
+    sim.add_process(ProcessId::server(i), servers.back().get());
+  }
+  TimerCountingTransport counting(sim);
+  ClientOptions options;
+  options.retry.timeout = 1'000'000'000;  // 1 s of virtual time
+  options.retry.max_retries = 1;
+  RegisterClient client(ProcessId::reader(0), config, &counting, options);
+  sim.add_process(client.id(), &client);
+  sim.start_all();
+
+  for (int i = 0; i < 100; ++i) {
+    bool done = false;
+    sim.post(client.id(), [&] {
+      client.read(0, [&](const ReadResult& r) {
+        EXPECT_FALSE(r.timed_out);
+        done = true;
+      });
+    });
+    ASSERT_TRUE(sim.run_until([&] { return done; }));
+  }
+  EXPECT_LT(sim.now(), options.retry.timeout);  // every read beat it
+  EXPECT_LE(counting.timers, 2);
+  sim.run_until_idle();  // the armed timer fires and finds nothing due
+  EXPECT_LE(counting.timers, 2);
+  EXPECT_EQ(client.retransmits(), 0u);
+  EXPECT_EQ(client.timeouts(), 0u);
+}
+
+TEST(DeadlineTimerTest, EarlierDeadlineArmedLaterStillFiresOnTime) {
+  // A long-deadline op arms the timer first; a short-deadline op started
+  // after it must still expire at its own deadline, before the first one.
+  sim::Simulator sim(sim::SimConfig::with_uniform_delay(1, 100, 500));
+  OpMux mux(ProcessId::reader(0), SystemConfig{}, &sim);
+  int long_sends = 0;
+  int short_sends = 0;
+  RetryPolicy slow;
+  slow.timeout = 10'000;
+  RetryPolicy fast;
+  fast.timeout = 1'000;
+  fast.max_retries = 1;
+  mux.start(std::make_unique<NullOp>(&long_sends), OpKind::kBsrRead, 0, slow);
+  mux.start(std::make_unique<NullOp>(&short_sends), OpKind::kBsrRead, 1, fast);
+  sim.run_until_time(1'000);
+  EXPECT_EQ(short_sends, 2);  // retransmitted at t = 1000
+  EXPECT_EQ(long_sends, 1);
+  sim.run_until_time(3'000);
+  EXPECT_EQ(mux.timeouts(), 1u);  // the short op gave up at t = 3000
+  sim.run_until_idle();
+  EXPECT_EQ(mux.timeouts(), 2u);
+  EXPECT_EQ(sim.now(), 10'000u);
+  EXPECT_TRUE(mux.idle());
+}
+
 // --- SystemConfig::Builder -------------------------------------------------
 
 TEST(SystemConfigBuilder, AcceptsValidBsrConfig) {

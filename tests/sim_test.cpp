@@ -482,14 +482,17 @@ void run_overlapping(harness::SimCluster& cluster) {
 
 // Recorded before the single-op protocol wrappers were folded into
 // RegisterClient; any client/harness refactor must reproduce them exactly.
+// A wire-encoding change moves every digest, because each mixes the
+// payload size: re-pin only after digests that mix the size of
+// server-to-server envelopes alone come out equal on both sides.
 TEST(TraceIdentityTest, SequentialMixedWorkloadTracesArePinned) {
   const std::array<PinnedTrace, 6> pinned{{
-      {registers::ProtocolVariant::kBsr, 10401915816654979441ULL, 360},
-      {registers::ProtocolVariant::kBsrHistory, 4368149015353763333ULL, 360},
-      {registers::ProtocolVariant::kBsrTwoRound, 1198673684144929061ULL, 540},
-      {registers::ProtocolVariant::kBcsr, 17465124590979284006ULL, 432},
-      {registers::ProtocolVariant::kRb, 17583313239945567154ULL, 624},
-      {registers::ProtocolVariant::kBsrWriteBack, 5981221302261872674ULL, 480},
+      {registers::ProtocolVariant::kBsr, 8061835409840941655ULL, 360},
+      {registers::ProtocolVariant::kBsrHistory, 1987813675065603623ULL, 360},
+      {registers::ProtocolVariant::kBsrTwoRound, 51589201793940658ULL, 540},
+      {registers::ProtocolVariant::kBcsr, 15669016760216377654ULL, 432},
+      {registers::ProtocolVariant::kRb, 8689773549735310410ULL, 624},
+      {registers::ProtocolVariant::kBsrWriteBack, 14468089503757479040ULL, 480},
   }};
   for (const auto& p : pinned) {
     harness::SimCluster cluster(trace_options(p.protocol, 2, 2));
@@ -503,11 +506,11 @@ TEST(TraceIdentityTest, SequentialMixedWorkloadTracesArePinned) {
 
 TEST(TraceIdentityTest, OverlappingWorkloadTracesArePinned) {
   const std::array<PinnedTrace, 5> pinned{{
-      {registers::ProtocolVariant::kBsr, 11169262877550426606ULL, 680},
-      {registers::ProtocolVariant::kBsrHistory, 11348578213696929881ULL, 680},
-      {registers::ProtocolVariant::kBsrTwoRound, 9166804348493399306ULL, 1010},
-      {registers::ProtocolVariant::kBcsr, 5248145948763188880ULL, 648},
-      {registers::ProtocolVariant::kBsrWriteBack, 9037823707391584601ULL, 840},
+      {registers::ProtocolVariant::kBsr, 17762757860970551651ULL, 680},
+      {registers::ProtocolVariant::kBsrHistory, 16857196973210492727ULL, 680},
+      {registers::ProtocolVariant::kBsrTwoRound, 929473902773055171ULL, 1010},
+      {registers::ProtocolVariant::kBcsr, 6220055149930384496ULL, 648},
+      {registers::ProtocolVariant::kBsrWriteBack, 4514621729167852856ULL, 840},
   }};
   for (const auto& p : pinned) {
     // BCSR is single-writer: concurrent writes may legitimately fail to

@@ -310,7 +310,9 @@ bool is_blocking_helper(const std::string& name) {
 
 /// Canonical wire-width token for a serde call, or "" if the name is not a
 /// serde primitive. bool is one byte on the wire; bytes/bytes_view/string
-/// are all one length-prefixed class.
+/// are all one length-prefixed class. The compact encodings differ from
+/// every fixed-width one: a varint (get_varint32 only adds a range check),
+/// a compact tag, and varint-length-prefixed compact bytes.
 std::string serde_token(const std::string& name, bool* is_put) {
   std::string suffix;
   if (starts_with(name, "put_")) {
@@ -326,7 +328,10 @@ std::string serde_token(const std::string& name, bool* is_put) {
       {"u8", "u8"},       {"u16", "u16"},         {"u32", "u32"},
       {"u64", "u64"},     {"bool", "u8"},         {"bytes", "bytes"},
       {"bytes_view", "bytes"}, {"string", "bytes"},
-      {"process_id", "process_id"}, {"tag", "tag"}};
+      {"process_id", "process_id"}, {"tag", "tag"},
+      {"varint", "varint"}, {"varint32", "varint"},
+      {"compact_tag", "compact_tag"}, {"compact_bytes", "compact_bytes"},
+      {"compact_bytes_view", "compact_bytes"}};
   const auto it = kTokens.find(suffix);
   return it == kTokens.end() ? std::string() : it->second;
 }

@@ -74,7 +74,10 @@
 //                       the ordered put_* sequence must match the ordered
 //                       get_* sequence in count, order, and width
 //                       (put_bytes/get_bytes/get_bytes_view/get_string are
-//                       one length-prefixed class; put_bool is u8-width).
+//                       one length-prefixed class; put_bool is u8-width;
+//                       the compact encodings are classes of their own:
+//                       put_varint/get_varint/get_varint32, compact_tag,
+//                       and compact_bytes/compact_bytes_view).
 //                       Catches wire-format drift at lint time instead of
 //                       on a cross-version cluster.
 //   unchecked-result    a discarded `Result<T>` return: a statement that
