@@ -79,7 +79,7 @@ RegResult random_regularity(ProtocolVariant protocol, size_t trials) {
     bytes_sum += static_cast<double>(cluster.sim().metrics().snapshot().bytes_sent);
 
     checker::CheckOptions copts;
-    copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
+    copts.reads_report_tags = registers::reads_report_tags(protocol);
     if (checker::check_safety(cluster.recorder().ops(), copts).ok) ++safe;
     if (checker::check_regularity(cluster.recorder().ops(), copts).ok) ++regular;
     if (checker::check_atomicity(cluster.recorder().ops(), copts).ok) ++atomic;

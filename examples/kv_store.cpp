@@ -2,8 +2,8 @@
 //
 // The paper motivates safe registers with geo-replicated key-value storage
 // (Cassandra, Redis; Section I). This example runs ONE five-server BSR
-// cluster on the thread-per-process runtime (actual OS threads, wall-clock
-// delays) and multiplexes every key over it as a separate shared variable
+// cluster on the in-memory real-time transport (actual OS threads,
+// wall-clock delays) and multiplexes every key over it as a separate shared variable
 // (object id) -- the model's "finite set of shared variables" of Section
 // II-B. One server is Byzantine throughout. The store is then driven with
 // the read-heavy mix from the paper's TAO footnote (99.8% reads), printing

@@ -136,6 +136,9 @@ class Serializer {
 class Deserializer {
  public:
   explicit Deserializer(const Bytes& data) : data_(data.data()), size_(data.size()) {}
+  /// A temporary would die at the end of the full-expression and leave the
+  /// decoder pointing into freed memory: bind a named buffer instead.
+  explicit Deserializer(Bytes&&) = delete;
   explicit Deserializer(BytesView data) : data_(data.data()), size_(data.size()) {}
   Deserializer(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 

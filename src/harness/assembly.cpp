@@ -1,8 +1,10 @@
 #include "harness/assembly.h"
 
 #include <cassert>
+#include <chrono>
+#include <thread>
 
-#include "storage/persistent_server.h"
+#include "common/log.h"
 
 namespace bftreg::harness {
 
@@ -112,6 +114,21 @@ std::vector<std::pair<ProcessId, net::IProcess*>> Assembly::processes() const {
   for (const auto& w : writers_) out.emplace_back(w->id(), w.get());
   for (const auto& r : readers_) out.emplace_back(r->id(), r.get());
   return out;
+}
+
+bool await_serving(const storage::PersistentRegisterServer& server,
+                   size_t index) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!server.is_serving()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      LOG_ERROR << "restart_server(" << index
+                << "): quorum catch-up did not complete within 30s";
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 }  // namespace bftreg::harness

@@ -7,7 +7,8 @@
 // bcsr_initial_elements() -- plus one RegisterClient per writer and reader
 // slot. It owns them all, swaps in Byzantine servers and recovered servers,
 // and lists them for registration. The cluster holding it registers the
-// processes with its network and drives them.
+// processes with its network and drives them; restart_server() below is
+// the live crash-and-rejoin drill over either real-time transport.
 #pragma once
 
 #include <memory>
@@ -17,10 +18,7 @@
 
 #include "adversary/byzantine_server.h"
 #include "registers/registers.h"
-
-namespace bftreg::storage {
-class PersistentRegisterServer;
-}
+#include "storage/persistent_server.h"
 
 namespace bftreg::harness {
 
@@ -84,5 +82,35 @@ class Assembly {
   std::vector<std::unique_ptr<registers::RegisterClient>> writers_;
   std::vector<std::unique_ptr<registers::RegisterClient>> readers_;
 };
+
+/// Blocks until `server` (server `index`) serves again; false, with an
+/// error log, when quorum catch-up has not completed within 30 s (a wedged
+/// catch-up fails a drill loudly instead of hanging it).
+bool await_serving(const storage::PersistentRegisterServer& server,
+                   size_t index);
+
+/// Crash-and-rejoin of the WAL-backed server `index` under live traffic on
+/// a started real-time transport (runtime::ThreadNetwork or
+/// socknet::TcpNetwork): marks it crashed, quiesces it (so WAL replay
+/// cannot race a half-run handler), swaps in a recovered server
+/// (kCatchUpBeforeServe), revives delivery, and BLOCKS until quorum
+/// catch-up completes and the server is serving again. Call from an
+/// external thread only, never from a handler. Returns await_serving's
+/// verdict.
+template <typename Net>
+bool restart_server(Net& net, Assembly& assembly, size_t index) {
+  const ProcessId pid = ProcessId::server(static_cast<uint32_t>(index));
+  // Crash, then wait until no handler of the old server is running: its
+  // last WAL append has fully returned, so the replay below reads a file
+  // no one is writing.
+  net.mark_crashed(pid);
+  net.quiesce(pid);
+  storage::PersistentRegisterServer* raw = assembly.recover_server(index);
+  net.replace_process(pid, raw);
+  net.revive(pid);
+  // Peers answer the catch-up queries on their own contexts.
+  net.post(pid, [raw] { raw->begin_catch_up(); });
+  return await_serving(*raw, index);
+}
 
 }  // namespace bftreg::harness

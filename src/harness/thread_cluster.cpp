@@ -1,15 +1,10 @@
 #include "harness/thread_cluster.h"
 
 #include <cassert>
-#include <chrono>
-#include <future>
-#include <thread>
-
-#include "common/log.h"
-#include "storage/persistent_server.h"
 
 namespace bftreg::harness {
 
+using registers::BlockingRegisterClient;
 using registers::ReadResult;
 using registers::WriteResult;
 
@@ -26,6 +21,23 @@ std::unique_ptr<runtime::ThreadNetwork> make_network(
   return std::make_unique<runtime::ThreadNetwork>(std::move(rc));
 }
 
+/// Marks a client slot busy for the duration of one blocking operation.
+class OneOpGuard {
+ public:
+  explicit OneOpGuard(std::atomic<bool>& busy) : busy_(busy) {
+    [[maybe_unused]] const bool was_busy =
+        busy_.exchange(true, std::memory_order_acquire);
+    assert(!was_busy && "at most one operation per client");
+  }
+  ~OneOpGuard() { busy_.store(false, std::memory_order_release); }
+
+  OneOpGuard(const OneOpGuard&) = delete;
+  OneOpGuard& operator=(const OneOpGuard&) = delete;
+
+ private:
+  std::atomic<bool>& busy_;
+};
+
 }  // namespace
 
 ThreadCluster::ThreadCluster(ThreadClusterOptions options)
@@ -33,38 +45,17 @@ ThreadCluster::ThreadCluster(ThreadClusterOptions options)
       net_(make_network(options_)),
       assembly_(options_.protocol, options_.config, options_.seed,
                 options_.num_writers, options_.num_readers, options_.wal_dir,
-                net_.get()) {}
+                net_.get()),
+      writer_busy_(new std::atomic<bool>[options_.num_writers]()),
+      reader_busy_(new std::atomic<bool>[options_.num_readers]()) {}
 
 ThreadCluster::~ThreadCluster() { stop(); }
 
 void ThreadCluster::restart_server(size_t index) {
   assert(started_.load() && "restart_server needs a running network");
-  const ProcessId pid = ProcessId::server(static_cast<uint32_t>(index));
-
-  // Crash, then wait until no mailbox thread is inside the old server's
-  // handler: its last WAL append has fully returned, so the replay below
-  // reads a file no one is writing.
-  net_->mark_crashed(pid);
-  net_->quiesce(pid);
-  auto* raw = assembly_.recover_server(index);
-  net_->replace_process(pid, raw);
-  net_->revive(pid);
-  net_->post(pid, [raw] { raw->begin_catch_up(); });
-
-  // Block until the catch-up state machine finishes (peers answer on their
-  // own mailbox threads). Bounded: a wedged catch-up should fail the drill
-  // loudly, not hang the suite.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!raw->is_serving()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      LOG_ERROR << "restart_server(" << index
-                << "): quorum catch-up did not complete within 30s";
-      assert(false && "restart_server: catch-up timed out");
-      return;
-    }
-    std::this_thread::yield();
-  }
+  [[maybe_unused]] const bool serving =
+      harness::restart_server(*net_, assembly_, index);
+  assert(serving && "restart_server: catch-up timed out");
 }
 
 void ThreadCluster::set_byzantine(size_t index, adversary::StrategyKind kind) {
@@ -90,35 +81,15 @@ void ThreadCluster::stop() {
 
 WriteResult ThreadCluster::write(size_t writer, Bytes value) {
   start();
-  WriteResult out;
-  runtime::BlockingInvoker invoker(*net_);
-  invoker.run(ProcessId::writer(static_cast<uint32_t>(writer)),
-              [&](std::function<void()> done) {
-                registers::RegisterClient& client = assembly_.writer(writer);
-                assert(client.idle() && "at most one operation per client");
-                client.write(/*object=*/0, std::move(value),
-                             [&out, done](const WriteResult& r) {
-                               out = r;
-                               done();
-                             });
-              });
-  return out;
+  OneOpGuard guard(writer_busy_[writer]);
+  return BlockingRegisterClient(assembly_.writer(writer))
+      .write(/*object=*/0, std::move(value));
 }
 
 ReadResult ThreadCluster::read(size_t reader) {
   start();
-  ReadResult out;
-  runtime::BlockingInvoker invoker(*net_);
-  invoker.run(ProcessId::reader(static_cast<uint32_t>(reader)),
-              [&](std::function<void()> done) {
-                registers::RegisterClient& client = assembly_.reader(reader);
-                assert(client.idle() && "at most one operation per client");
-                client.read(/*object=*/0, [&out, done](const ReadResult& r) {
-                  out = r;
-                  done();
-                });
-              });
-  return out;
+  OneOpGuard guard(reader_busy_[reader]);
+  return BlockingRegisterClient(assembly_.reader(reader)).read(/*object=*/0);
 }
 
 }  // namespace bftreg::harness

@@ -3,16 +3,17 @@
 //
 // Same processes as SimCluster -- one shared Assembly (harness/assembly.h)
 // builds the servers, clients and Byzantine swaps -- but they run on
-// runtime::ThreadNetwork (one mailbox thread per delivery shard, real
-// delays, wall-clock time) and operations are blocking calls safe to issue
-// from concurrent caller threads -- one caller per client, per the model's
+// runtime::ThreadNetwork (the shared executor's loop shards and mailbox
+// consumers, real delays, wall-clock time) and operations are blocking
+// calls (registers::BlockingRegisterClient) safe to issue from concurrent
+// caller threads -- one caller per client, per the model's
 // one-operation-per-client rule. Used by bench_wallclock and available to
 // applications that want a ready-made deployment harness.
 //
 // Sharded servers: set options.config.server_shards > 1 and each
-// RegisterServer splits its object table across that many mailbox threads
-// (hash(object)-disjoint, see registers/server.h); clients and protocol
-// semantics are unaffected.
+// RegisterServer splits its object table across that many delivery
+// contexts (hash(object)-disjoint, see registers/server.h), spread over
+// the pooled consumers; clients and protocol semantics are unaffected.
 #pragma once
 
 #include <atomic>
@@ -60,7 +61,7 @@ class ThreadCluster {
   /// Stops the underlying network. Inherits ThreadNetwork::stop()'s
   /// contract: idempotent, concurrent calls allowed (only the first does
   /// the work), and must come from a client/owner thread -- never from a
-  /// protocol callback, which runs on a network-owned mailbox thread.
+  /// protocol callback, which runs on an executor thread.
   void stop();
 
   /// Blocking operations; safe to call from one thread per client index.
@@ -68,12 +69,10 @@ class ThreadCluster {
   registers::ReadResult read(size_t reader);
 
   /// Crash-and-rejoin under live traffic (requires options.wal_dir; the
-  /// network must be started). Marks the server crashed, quiesces its
-  /// mailbox threads (so WAL replay cannot race a half-run handler), swaps
-  /// in a recovered server (kCatchUpBeforeServe), revives delivery, and
-  /// BLOCKS until quorum catch-up completes and the server is serving
-  /// again. Call from an external (non-mailbox) thread only -- same
-  /// contract as stop().
+  /// network must be started): harness::restart_server on this cluster's
+  /// network. BLOCKS until quorum catch-up completes and the server is
+  /// serving again. Call from an external thread only -- same contract as
+  /// stop().
   void restart_server(size_t index);
 
   /// The WAL-backed server at `index`; nullptr when wal_dir is unset or
@@ -90,9 +89,13 @@ class ThreadCluster {
 
   ThreadClusterOptions options_;
   std::unique_ptr<runtime::ThreadNetwork> net_;
-  /// In-flight MailItems may still carry (never re-dereferenced) pointers
-  /// to servers restart_server() replaced; the assembly keeps those alive.
+  /// Servers restart_server() replaced stay alive in the assembly until
+  /// teardown.
   Assembly assembly_;
+  /// One operation per client: set while a write()/read() of that slot is
+  /// in flight (the client's own idle() may only be read in its context).
+  std::unique_ptr<std::atomic<bool>[]> writer_busy_;
+  std::unique_ptr<std::atomic<bool>[]> reader_busy_;
   std::once_flag start_once_;
   // Published by the call_once winner; read by set_byzantine's precondition
   // assert, which may run on a different thread than the one that started.

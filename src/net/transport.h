@@ -3,7 +3,9 @@
 // Protocol code (writers, readers, servers, broadcast) is written once as
 // event-driven state machines against `Transport` + `IProcess`, then run
 // either deterministically under the discrete-event `sim::Simulator` or in
-// real time under the `runtime::ThreadNetwork`. This is the central design
+// real time under `runtime::ThreadNetwork` (in memory) or
+// `socknet::TcpNetwork` (kernel sockets). The two real-time transports
+// share one executor (runtime/executor.h). This is the central design
 // decision of the repo (DESIGN.md §6.1).
 #pragma once
 
@@ -19,17 +21,18 @@
 
 namespace bftreg::net {
 
-/// Execution knobs shared by the real-time transports. These are purely
+/// Execution knobs of the real-time transports. These are purely
 /// operational -- protocol semantics never depend on them -- and they are
-/// the one place transport sizing is spelled out: SystemConfig::Builder
-/// validates and carries a TransportOptions, and socknet::TcpConfig embeds
+/// the one place transport sizing is spelled out: socknet::TcpConfig embeds
 /// one, so a deployment tunes "how many event-loop shards, how many
 /// handler threads, how much outbound buffering" in a single struct instead
-/// of a grab-bag of per-transport fields. Receive buffering has no knob:
-/// the TCP transport reads into one chunk per event-loop shard, so it grows
-/// with loop_shards, not with connections.
+/// of a grab-bag of per-transport fields. runtime::ThreadNetwork runs on
+/// the resolved defaults; SystemConfig::Builder validates and carries a
+/// copy. Receive buffering has no knob: the TCP transport reads into one
+/// chunk per event-loop shard, so it grows with loop_shards, not with
+/// connections.
 struct TransportOptions {
-  /// Event-loop shards (socknet::EventLoop): every connection, listener,
+  /// Event-loop shards (runtime::EventLoop): every connection, listener,
   /// and timer is owned by exactly one shard's epoll set, so the I/O
   /// thread count is fixed at this value no matter how many endpoints are
   /// registered. 0 = auto (hardware concurrency clamped to [1, 4]).
@@ -65,15 +68,17 @@ struct TransportOptions {
 
 /// A participant in the protocol. Handlers are always invoked in the
 /// process's execution context. By default that context is singular
-/// (simulator event or one mailbox thread), so handlers never run
-/// concurrently for the same process. A process may opt into parallel
-/// delivery by overriding delivery_shards()/shard_of(): the threaded
-/// transports then run one mailbox per shard, and the serialization
+/// (simulator event, or one delivery context of the real-time executor),
+/// so handlers never run concurrently for the same process. A process may
+/// opt into parallel delivery by overriding delivery_shards()/shard_of():
+/// the real-time transports then give it one delivery context per shard,
+/// spread over their pooled mailbox consumers, and the serialization
 /// guarantee narrows to *per shard* -- two envelopes mapping to the same
 /// shard are still handled one at a time and in push order, but handlers
-/// for different shards of the same process run concurrently. The
-/// discrete-event simulator ignores sharding (it is single-threaded, so
-/// the default guarantee holds there regardless).
+/// for different shards of the same process may run concurrently. A
+/// consumer serves several contexts, so a handler must never block waiting
+/// on another context. The discrete-event simulator ignores sharding (it
+/// is single-threaded, so the default guarantee holds there regardless).
 class IProcess {
  public:
   virtual ~IProcess() = default;
@@ -101,16 +106,17 @@ class IProcess {
   }
 
   /// Mailbox batch brackets. Transports that drain deliveries in batches
-  /// (runtime mailboxes, socknet consumer pools) call on_batch_begin(shard)
-  /// on `shard`'s delivery thread before a run of consecutive on_message
-  /// calls for this process, and on_batch_end(shard) after the run -- both
-  /// under exactly the same serialization guarantee as on_message itself.
-  /// A begin is always paired with an end on the same thread; batches for
-  /// different shards may be open concurrently. Default: no-op, and
-  /// transports that deliver one message at a time (the simulator) never
-  /// call either -- implementations must not depend on the brackets for
-  /// correctness, only use them to amortize. No process in src/ overrides
-  /// them.
+  /// (the real-time executor's mailbox consumers) call
+  /// on_batch_begin(shard) in `shard`'s delivery context before a run of
+  /// consecutive on_message calls for this process, and on_batch_end(shard)
+  /// after the run -- both under exactly the same serialization guarantee
+  /// as on_message itself. A begin is paired with an end on the same
+  /// thread, unless the process is crashed or replaced in between (the
+  /// bracket is then abandoned); batches for different shards may be open
+  /// concurrently. Default: no-op, and transports that deliver one message
+  /// at a time (the simulator) never call either -- implementations must
+  /// not depend on the brackets for correctness, only use them to amortize.
+  /// No process in src/ overrides them.
   virtual void on_batch_begin(uint32_t shard) { (void)shard; }
   virtual void on_batch_end(uint32_t shard) { (void)shard; }
 };
@@ -133,12 +139,13 @@ class Transport {
                             Payload payload) = 0;
 
   /// Current transport time (virtual in the simulator, wall clock in the
-  /// threaded runtime), in nanoseconds.
+  /// real-time transports), in nanoseconds.
   virtual TimeNs now() const = 0;
 
   /// Runs `fn` in `pid`'s execution context (as a zero-delay event in the
-  /// simulator; on the mailbox thread in the runtime). Used to inject
-  /// client operation starts without racing message handlers.
+  /// simulator; in its first delivery context in the real-time
+  /// transports). Used to inject client operation starts without racing
+  /// message handlers.
   virtual void post(const ProcessId& pid, std::function<void()> fn) = 0;
 
   /// Runs `fn` in `pid`'s execution context no earlier than `delta` ns from

@@ -122,12 +122,14 @@ class RegisterClient final : public net::IProcess {
 };
 
 /// Future-style blocking facade over RegisterClient for the real-time
-/// transports (ThreadNetwork, TcpNetwork): each call posts the operation
-/// into the client's mailbox and blocks the calling thread until it
-/// completes. Do NOT use under the deterministic simulator -- there is no
-/// independent scheduler thread to make progress, so the wait would
-/// deadlock. Any number of application threads may call concurrently; the
-/// client's mailbox serializes the protocol work.
+/// transports (ThreadNetwork, TcpNetwork; ThreadCluster's blocking
+/// operations): each call posts the operation into the client's delivery
+/// context and blocks the calling thread until it completes. Call it from
+/// application threads only: never under the deterministic simulator,
+/// which has no independent thread to make progress, and never from a
+/// handler, whose executor thread may be the one that has to run the
+/// client. Any number of application threads may call concurrently; the
+/// client's context serializes the protocol work.
 class BlockingRegisterClient {
  public:
   explicit BlockingRegisterClient(RegisterClient& client) : client_(client) {}

@@ -89,6 +89,13 @@ constexpr size_t min_servers(ProtocolVariant v, size_t f) {
   }
 }
 
+/// Whether `v`'s reads return the tag of the value they read. BCSR's coded
+/// reads return the decoded value alone, so a checker must match its reads
+/// to writes by value (checker::CheckOptions::reads_report_tags).
+constexpr bool reads_report_tags(ProtocolVariant v) {
+  return v != ProtocolVariant::kBcsr;
+}
+
 /// How a server maintains its list L of (tag, value) pairs.
 enum class StorePolicy : uint8_t {
   /// Fig. 3 verbatim: add (t_in, v_in) only when t_in exceeds every tag in
@@ -121,10 +128,12 @@ struct SystemConfig {
   size_t max_history{0};
 
   /// Real-time transport sizing (event-loop shards, handler threads,
-  /// outbound buffering -- see net::TransportOptions). Validated by the
-  /// builder alongside the protocol knobs and consumed by whoever
-  /// constructs the TcpNetwork/ThreadNetwork for this config; the
-  /// simulator ignores it.
+  /// outbound buffering -- see net::TransportOptions), validated by the
+  /// builder alongside the protocol knobs. No transport reads it: a
+  /// deployment that wants these values passes them to
+  /// socknet::TcpConfig::options itself, ThreadNetwork always runs on the
+  /// resolved defaults, and the simulator has no threads. It travels with
+  /// the config so a tool can record the sizing it ran with.
   net::TransportOptions transport{};
 
   /// Object-table shards per server: each server asks its transport for

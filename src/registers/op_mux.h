@@ -167,7 +167,7 @@ enum class OpKind : uint8_t {
 /// Per-client table of in-flight operations. Not itself registered with the
 /// transport: the owning RegisterClient forwards its envelopes to
 /// on_message(). All methods must run in the owning process's execution
-/// context (simulator event / mailbox thread); like every protocol object
+/// context (simulator event / executor delivery context); like every protocol object
 /// in this repo, OpMux is single-threaded by construction.
 class OpMux final {
  public:

@@ -1,12 +1,13 @@
-// Lock-free delivery shard for the threaded transports.
+// Lock-free delivery shard for the executor's mailbox consumers
+// (runtime/executor.h).
 //
-// A `MailboxShard` replaces the mutex+deque mailbox: producers (sender and
-// socket-reader threads) publish `MailItem`s into a bounded MPSC ring
-// (common/mpsc_ring.h) and the one consumer thread that owns the shard
-// drains them in batches. The mutex+CondVar pair survives only on the cold
-// paths: parking an idle consumer, and spilling items when the ring is full
-// (reliable channels must not drop, so overflow diverts to a guarded deque
-// instead of failing the send).
+// A `MailboxShard` replaces the mutex+deque mailbox: producers (sender,
+// loop-shard and socket-reader threads) publish `MailItem`s into a bounded
+// MPSC ring (common/mpsc_ring.h) and the one consumer thread that owns the
+// shard drains them in batches. The mutex+CondVar pair survives only on
+// the cold paths: parking an idle consumer, and spilling items when the
+// ring is full (reliable channels must not drop, so overflow diverts to a
+// guarded deque instead of failing the send).
 //
 // Idle/wake handshake (the only seq_cst in the mailbox): a sleeping
 // consumer must not miss a push, and a producer must not futex-wake a
@@ -40,25 +41,18 @@
 #include "common/sync.h"
 #include "net/envelope.h"
 
-namespace bftreg::net {
-class IProcess;
-}
-
 namespace bftreg::runtime {
 
-/// One unit of mailbox work. Deliveries carry the envelope inline (no
-/// per-message closure allocation -- the old deque<function> mailbox heap-
-/// allocated a capture block for every envelope); tasks (on_start, post,
-/// timer fire) carry a closure.
+struct Context;  // runtime/executor.h
+
+/// One unit of mailbox work, dispatched in `ctx`. Deliveries carry the
+/// envelope inline, so a message costs no closure allocation; tasks
+/// (on_start, post, timer fire) carry a closure.
 struct MailItem {
-  /// Non-null: deliver `env` to this process. Null: run `fn`.
-  net::IProcess* proc{nullptr};
+  Context* ctx{nullptr};
   net::Envelope env;
+  /// Non-null: run this task. Null: deliver `env`.
   std::function<void()> fn;
-  /// The process delivery shard this item targets (IProcess::shard_of).
-  /// Consumers key their on_batch_begin/on_batch_end brackets on
-  /// (proc, shard) while draining a batch.
-  uint32_t shard{0};
 };
 
 class MailboxShard {

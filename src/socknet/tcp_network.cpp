@@ -49,15 +49,13 @@ void store_le64(uint8_t* p, uint64_t v) {
 
 struct TcpNetwork::Endpoint {
   ProcessId pid;
-  net::IProcess* process{nullptr};
+  /// The process's delivery contexts in the executor.
+  runtime::Executor::Slot* slot{nullptr};
   // Atomic: stop() publishes -1 while loop threads may still be reading it.
   std::atomic<int> listen_fd{-1};
   uint16_t port{0};
   /// hash(pid) % loop shards: owns the listener, dialed conns and timers.
   size_t home_shard{0};
-  /// delivery shard -> pooled mailbox consumer index (round-robin at
-  /// registration, so the shards of one process spread across consumers).
-  std::vector<size_t> mail_ctx;
 
   // Outbound routing: send() appends sealed frames under out_mu; the
   // owning loop shard pulls whole queues and flushes them with sendmsg.
@@ -105,8 +103,8 @@ TcpNetwork::TcpNetwork(TcpConfig config)
       config_(config),
       opts_(config.options.resolved()),
       epoch_(std::chrono::steady_clock::now()),
-      loop_(opts_.loop_shards),
-      mail_(opts_.mailbox_shards),
+      exec_(opts_, &metrics_),
+      loop_(exec_.loop()),
       shard_conns_(loop_.size()),
       shard_recv_(loop_.size()) {}
 
@@ -145,11 +143,8 @@ void TcpNetwork::add_process(const ProcessId& pid, net::IProcess* process,
   assert(!running_.load());
   auto ep = std::make_unique<Endpoint>();
   ep->pid = pid;
-  ep->process = process;
+  ep->slot = exec_.add_process(pid, process);
   ep->home_shard = loop_.shard_of(pid);
-  const uint32_t nctx = std::max<uint32_t>(1, process->delivery_shards());
-  ep->mail_ctx.reserve(nctx);
-  for (uint32_t s = 0; s < nctx; ++s) ep->mail_ctx.push_back(mail_.assign_context());
 
   if (listen) {
     const int listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
@@ -198,12 +193,7 @@ void TcpNetwork::start() {
       auth_.precompute_pairs(servers, pids);
     }
   }
-  mail_.start();
-  for (auto& [pid, ep] : endpoints_) {
-    Endpoint* e = ep.get();
-    enqueue(e, [e] { e->process->on_start(); });
-  }
-  loop_.start();
+  exec_.start();
   // Hand each listener to its home shard (fd registration is loop-thread
   // only). Connections arriving before the task runs wait in the backlog.
   for (auto& [pid, ep] : endpoints_) {
@@ -218,7 +208,7 @@ void TcpNetwork::start() {
 }
 
 bool TcpNetwork::on_internal_thread() const {
-  return loop_.on_loop_thread() || mail_.on_pool_thread();
+  return exec_.on_executor_thread();
 }
 
 void TcpNetwork::stop() {
@@ -244,10 +234,9 @@ void TcpNetwork::stop() {
   for (size_t s = 0; s < loop_.size(); ++s) {
     loop_.shard(s).post([this, s] { drain_shard(s); });
   }
-  loop_.stop();
-  // Loop shards are gone, so nothing publishes new deliveries; the pool
-  // drains whatever is still queued before its consumers exit.
-  mail_.stop();
+  // Loop shards stop first, so nothing publishes new deliveries; the
+  // consumers drain whatever is still queued before they exit.
+  exec_.stop();
 
   // All threads joined: reclaim every fd the shards still owned.
   for (auto& conns : shard_conns_) {
@@ -257,31 +246,6 @@ void TcpNetwork::stop() {
   for (auto& [pid, ep] : endpoints_) {
     const int lfd = ep->listen_fd.exchange(-1);
     if (lfd >= 0) ::close(lfd);
-  }
-}
-
-// --- delivery --------------------------------------------------------------
-
-void TcpNetwork::enqueue(Endpoint* ep, std::function<void()> fn) {
-  // Tasks (on_start, post, timer fires) always run in context 0 so they
-  // keep the single-context guarantee protocol clients rely on.
-  if (mail_.shard(ep->mail_ctx[0])
-          .push_item(runtime::MailItem{nullptr, {}, std::move(fn)})) {
-    metrics_.on_mailbox_overflow();
-  }
-}
-
-void TcpNetwork::deliver(Endpoint* ep, net::Envelope env) {
-  net::IProcess* proc = ep->process;
-  // shard_of runs on the loop thread by contract (pure function of the
-  // envelope); the modulo keeps a buggy override in range.
-  uint32_t shard = 0;
-  if (ep->mail_ctx.size() > 1) {
-    shard = proc->shard_of(env) % static_cast<uint32_t>(ep->mail_ctx.size());
-  }
-  if (mail_.shard(ep->mail_ctx[shard])
-          .push_item(runtime::MailItem{proc, std::move(env), nullptr, shard})) {
-    metrics_.on_mailbox_overflow();
   }
 }
 
@@ -529,7 +493,7 @@ bool TcpNetwork::deliver_frame(Conn* conn, const std::shared_ptr<RecvBuf>& buf,
   env.to = to;
   env.mac = mac;
   env.payload = Payload(buf, payload);
-  deliver(ep, std::move(env));
+  exec_.deliver(ep->slot, std::move(env));
   return true;
 }
 
@@ -539,7 +503,7 @@ void TcpNetwork::send_payload(const ProcessId& from, const ProcessId& to,
                               Payload payload) {
   if (!running_.load()) return;
   Endpoint* src = find(from);
-  if (src == nullptr) return;
+  if (src == nullptr || exec_.crashed(src->slot)) return;
 
   // Seal the fixed-size header straight into the frame: no Serializer
   // buffer, no payload concatenation (flushes scatter-gather).
@@ -898,29 +862,6 @@ void TcpNetwork::drain_shard(size_t shard) {
     }
     if (!c->inflight.empty()) metrics_.on_drop_n(c->inflight.size());
   }
-}
-
-// --- timers / posting ------------------------------------------------------
-
-void TcpNetwork::post(const ProcessId& pid, std::function<void()> fn) {
-  if (Endpoint* ep = find(pid)) enqueue(ep, std::move(fn));
-}
-
-void TcpNetwork::post_after(const ProcessId& pid, TimeNs delta,
-                            std::function<void()> fn) {
-  if (delta == 0) {
-    post(pid, std::move(fn));
-    return;
-  }
-  Endpoint* ep = find(pid);
-  if (ep == nullptr) return;
-  // Timers live on the endpoint's home shard (absorbing the old dedicated
-  // timer thread); pending timers are dropped at stop() by the LoopShard
-  // contract, matching the Transport interface.
-  loop_.shard(ep->home_shard)
-      .run_after(delta, [this, ep, fn = std::move(fn)]() mutable {
-        enqueue(ep, std::move(fn));
-      });
 }
 
 // --- TestHooks -------------------------------------------------------------

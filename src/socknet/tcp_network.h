@@ -9,11 +9,13 @@
 // exactly that.
 //
 // Thread model (rebuilt for client-fleet scale; numbers in docs/PERF.md):
-// every socket lives on one of N event-loop shards (socknet/event_loop.h)
-// and every handler context on one of M pooled mailbox consumers, so the
-// thread count is N + M regardless of how many endpoints are registered --
-// the previous design spawned reader + writer threads *per endpoint* and
-// topped out around a dozen processes.
+// the transport runs on runtime::Executor (runtime/executor.h), the same
+// executor as the in-memory ThreadNetwork. Every socket lives on one of N
+// event-loop shards and every handler context on one of M pooled mailbox
+// consumers, so the thread count is N + M regardless of how many endpoints
+// are registered: a client fleet of thousands costs no thread per client.
+// The executor also gives it the live-restart surface (mark_crashed /
+// quiesce / replace_process / revive).
 //
 //   Outbound  send() seals a 22-byte header, appends (header, payload) to a
 //             bounded per-destination queue and schedules a flush on the
@@ -66,8 +68,7 @@
 #include "common/types.h"
 #include "crypto/auth.h"
 #include "net/transport.h"
-#include "runtime/mailbox.h"
-#include "socknet/event_loop.h"
+#include "runtime/executor.h"
 
 namespace bftreg::socknet {
 
@@ -106,8 +107,9 @@ class TcpNetwork final : public net::Transport {
   void add_process(const ProcessId& pid, net::IProcess* process,
                    bool listen = true);
 
-  /// Starts the loop shards + mailbox pool and delivers on_start() to
-  /// every process (on its mailbox consumer, like the other runtimes).
+  /// Starts the executor (loop shards + mailbox consumers), which delivers
+  /// on_start() to every process in its context, then hands the listeners
+  /// to their loop shards.
   void start();
 
   /// Closes sockets and joins all threads.
@@ -123,13 +125,32 @@ class TcpNetwork final : public net::Transport {
   /// The port a process listens on (0 for listen-less endpoints).
   uint16_t port_of(const ProcessId& pid) const;
 
+  // --- live restart (Executor's surface; see runtime/executor.h) ----------
+  //
+  // mark_crashed, then quiesce (no handler of it is running), then
+  // replace_process (same shard count), then revive. A crashed process's
+  // sends are dropped, frames that reach it are dropped at dispatch, and
+  // its timers do not fire; its connections stay up, so a revived process
+  // just sees a slow network.
+
+  void mark_crashed(const ProcessId& pid) { exec_.mark_crashed(pid); }
+  void quiesce(const ProcessId& pid) { exec_.quiesce(pid); }
+  void replace_process(const ProcessId& pid, net::IProcess* process) {
+    exec_.replace_process(pid, process);
+  }
+  void revive(const ProcessId& pid) { exec_.revive(pid); }
+
   // --- net::Transport -----------------------------------------------------
   void send_payload(const ProcessId& from, const ProcessId& to,
                     Payload payload) override;
   TimeNs now() const override;
-  void post(const ProcessId& pid, std::function<void()> fn) override;
+  void post(const ProcessId& pid, std::function<void()> fn) override {
+    exec_.post(pid, std::move(fn));
+  }
   void post_after(const ProcessId& pid, TimeNs delta,
-                  std::function<void()> fn) override;
+                  std::function<void()> fn) override {
+    exec_.post_after(pid, delta, std::move(fn));
+  }
   net::NetworkMetrics& metrics() override { return metrics_; }
 
   // --- TestHooks ------------------------------------------------------------
@@ -270,8 +291,6 @@ class TcpNetwork final : public net::Transport {
   };
 
   // --- cross-thread entry points -------------------------------------------
-  void enqueue(Endpoint* ep, std::function<void()> fn);
-  void deliver(Endpoint* ep, net::Envelope env);
   Endpoint* find(const ProcessId& pid);
   const Endpoint* find(const ProcessId& pid) const;
   bool on_internal_thread() const;
@@ -307,8 +326,8 @@ class TcpNetwork final : public net::Transport {
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;
 
-  EventLoop loop_;
-  MailboxPool mail_;
+  runtime::Executor exec_;
+  runtime::EventLoop& loop_;  // exec_.loop(): sockets live on its shards
   /// shard index -> conns owned by that shard's thread, and that shard's
   /// receive chunk. The vectors themselves are immutable after
   /// construction; element s is touched only on shard s's loop thread

@@ -31,7 +31,7 @@ ClusterOptions bcsr_options(size_t n, size_t f, uint64_t seed = 1,
 
 CheckOptions bcsr_check() {
   CheckOptions c;
-  c.reads_report_tags = false;  // coded reads return values, not tags
+  c.reads_report_tags = registers::reads_report_tags(ProtocolVariant::kBcsr);
   return c;
 }
 

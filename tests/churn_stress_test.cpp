@@ -1,10 +1,13 @@
-// Rolling-restart fault drill on the wall-clock runtime: every server of a
-// live cluster is crash/rejoined in sequence while four client threads keep
-// a mixed read/write workload running, and the whole recorded execution is
-// judged by the atomicity checker afterwards.
+// Rolling-restart fault drill on both real-time transports: every server of
+// a live cluster is crash/rejoined in sequence while four client threads
+// keep a mixed read/write workload running, and the whole recorded
+// execution is judged by the atomicity checker afterwards. The drill runs
+// once on ThreadCluster (in-memory ThreadNetwork) and once on the same
+// Assembly over socknet::TcpNetwork (servers listen, clients dial out),
+// both through harness::restart_server.
 //
 // This is the membership layer's end-to-end obligation on real threads:
-//   - ThreadNetwork::quiesce must fence half-run handlers before the WAL
+//   - the executor's quiesce must fence half-run handlers before the WAL
 //     is replayed (no torn state, no data race -- TSan watches);
 //   - the recovering server must refuse traffic until quorum catch-up
 //     completes (clients just see a slow server and finish on the others);
@@ -25,12 +28,15 @@
 
 #include "checker/consistency.h"
 #include "checker/execution.h"
+#include "harness/assembly.h"
 #include "harness/thread_cluster.h"
+#include "socknet/tcp_network.h"
 #include "storage/persistent_server.h"
 
 namespace bftreg::harness {
 namespace {
 
+using registers::BlockingRegisterClient;
 using registers::ProtocolVariant;
 
 /// Unique temp directory per test; removed recursively on destruction.
@@ -91,13 +97,47 @@ Bytes value_of(size_t writer, uint64_t seq) {
   return v;
 }
 
-TEST(ChurnStressTest, RollingRestartUnderMixedLoadStaysAtomic) {
-  constexpr size_t kN = 5;
-  constexpr size_t kF = 1;
-  constexpr size_t kWriters = 2;
-  constexpr size_t kReaders = 2;
+/// The drill's cluster over kernel sockets: ThreadCluster's Assembly on a
+/// TcpNetwork, servers listening and clients dialing out only.
+class TcpCluster {
+ public:
+  explicit TcpCluster(const ThreadClusterOptions& o)
+      : net_(socknet::TcpConfig{}),
+        assembly_(o.protocol, o.config, o.seed, o.num_writers, o.num_readers,
+                  o.wal_dir, &net_) {
+    for (const auto& [pid, process] : assembly_.processes()) {
+      net_.add_process(pid, process, /*listen=*/pid.is_server());
+    }
+    net_.start();
+  }
+  // Stop before the assembly's processes die.
+  ~TcpCluster() { net_.stop(); }
 
-  TempWalDir wal("churn_stress");
+  registers::WriteResult write(size_t writer, Bytes value) {
+    return BlockingRegisterClient(assembly_.writer(writer)).write(0, std::move(value));
+  }
+  registers::ReadResult read(size_t reader) {
+    return BlockingRegisterClient(assembly_.reader(reader)).read(0);
+  }
+  void restart_server(size_t index) {
+    EXPECT_TRUE(harness::restart_server(net_, assembly_, index));
+  }
+  storage::PersistentRegisterServer* persistent_server(size_t index) {
+    return assembly_.persistent_server(index);
+  }
+  void stop() { net_.stop(); }
+
+ private:
+  socknet::TcpNetwork net_;
+  Assembly assembly_;
+};
+
+constexpr size_t kN = 5;
+constexpr size_t kF = 1;
+constexpr size_t kWriters = 2;
+constexpr size_t kReaders = 2;
+
+ThreadClusterOptions drill_options(const std::string& wal_dir) {
   ThreadClusterOptions o;
   o.protocol = ProtocolVariant::kBsrWriteBack;  // the atomic variant: strongest oracle
   o.config.n = kN;
@@ -105,10 +145,14 @@ TEST(ChurnStressTest, RollingRestartUnderMixedLoadStaysAtomic) {
   o.num_writers = kWriters;
   o.num_readers = kReaders;
   o.seed = 29;
-  o.wal_dir = wal.path();
-  ThreadCluster cluster(o);
-  cluster.start();
+  o.wal_dir = wal_dir;
+  return o;
+}
 
+/// Runs the rolling restart on a started `cluster` under mixed load and
+/// judges the recorded execution.
+template <typename Cluster>
+void run_drill(Cluster& cluster) {
   SharedRecorder recorder;
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
@@ -170,6 +214,19 @@ TEST(ChurnStressTest, RollingRestartUnderMixedLoadStaysAtomic) {
   const auto verdict = checker::check_atomicity(ops, copts);
   EXPECT_TRUE(verdict.ok) << verdict.violation << "\n"
                           << recorder.recorder().dump_timeline();
+}
+
+TEST(ChurnStressTest, RollingRestartUnderMixedLoadStaysAtomic) {
+  TempWalDir wal("churn_stress");
+  ThreadCluster cluster(drill_options(wal.path()));
+  cluster.start();
+  run_drill(cluster);
+}
+
+TEST(ChurnStressTest, RollingRestartOverTcpStaysAtomic) {
+  TempWalDir wal("churn_stress_tcp");
+  TcpCluster cluster(drill_options(wal.path()));
+  run_drill(cluster);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -105,6 +106,12 @@ TEST(SerdeTest, EmptyBytesRoundTrip) {
   EXPECT_TRUE(d.get_bytes().empty());
   EXPECT_TRUE(d.done());
 }
+
+// A decoder over a temporary would read freed memory once the
+// full-expression ends, so only lvalue buffers and views construct one.
+static_assert(!std::is_constructible_v<Deserializer, Bytes&&>);
+static_assert(std::is_constructible_v<Deserializer, const Bytes&>);
+static_assert(std::is_constructible_v<Deserializer, BytesView>);
 
 TEST(SerdeTest, TruncatedBufferFailsGracefully) {
   Serializer s;

@@ -344,7 +344,7 @@ TEST_P(MaxOnlyPolicyTest, FigureThreeVerbatimPolicyIsSafe) {
     EXPECT_EQ(cluster.read(0).value, payload);
   }
   CheckOptions copts;
-  copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
+  copts.reads_report_tags = registers::reads_report_tags(protocol);
   copts.strict_validity = protocol != ProtocolVariant::kBcsr;
   const auto res = check_safety(cluster.recorder().ops(), copts);
   EXPECT_TRUE(res.ok) << res.violation;

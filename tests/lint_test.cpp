@@ -192,6 +192,7 @@ TEST(LintUnboundedStore, WaiverHonored) {
 }
 
 TEST(LintSocknetThread, ThreadOutsideEventLoopFlagged) {
+  // The executor owns the event loop; a socket-layer spawn is flagged.
   EXPECT_TRUE(has_rule(
       lint_content("src/socknet/tcp_network.cpp",
                    "std::thread reader([this] { read_loop(); });\n"),
@@ -199,21 +200,35 @@ TEST(LintSocknetThread, ThreadOutsideEventLoopFlagged) {
 }
 
 TEST(LintSocknetThread, EventLoopPoolExempt) {
-  // The shard pool and the mailbox consumers are the transport's only
-  // legitimate thread spawns.
+  // The executor's loop shards and mailbox consumers are the transports'
+  // only legitimate thread spawns.
   EXPECT_FALSE(has_rule(
-      lint_content("src/socknet/event_loop.cpp",
-                   "threads_.emplace_back(std::thread([this] { loop(); }));\n"),
+      lint_content("src/runtime/executor.cpp",
+                   "consumers_.emplace_back([b] { consume(b); });\n"
+                   "thread_ = std::thread([this] { loop(); });\n"),
       "socknet-thread"));
   EXPECT_FALSE(has_rule(
-      lint_content("src/socknet/event_loop.h", "std::thread thread_;\n"),
+      lint_content("src/runtime/executor.h", "std::thread thread_;\n"),
+      "socknet-thread"));
+}
+
+TEST(LintSocknetThread, RuntimeOutsideExecutorFlagged) {
+  // The in-memory transport runs on the executor too: a thread of its own
+  // is the thread-per-process design coming back.
+  EXPECT_TRUE(has_rule(
+      lint_content("src/runtime/thread_network.cpp",
+                   "std::thread t([&] { pump(); });\n"),
+      "socknet-thread"));
+  EXPECT_TRUE(has_rule(
+      lint_content("src/runtime/mailbox.h", "std::vector<std::thread> threads;\n"),
       "socknet-thread"));
 }
 
 TEST(LintSocknetThread, OtherLayersNotCovered) {
-  // src/runtime keeps its thread allowance; this rule is socknet-only.
+  // The harness keeps its raw-thread allowance; this rule covers the
+  // transports only.
   EXPECT_FALSE(has_rule(
-      lint_content("src/runtime/thread_network.cpp",
+      lint_content("src/harness/thread_cluster.cpp",
                    "std::thread t([&] { pump(); });\n"),
       "socknet-thread"));
 }
@@ -869,7 +884,7 @@ TEST(LintSarif, GoldenDocument) {
       "        {\"id\": \"quorum-arithmetic\", \"shortDescription\": {\"text\": "
       "\"quorum-sized arithmetic outside config.h\"}},\n"
       "        {\"id\": \"socknet-thread\", \"shortDescription\": {\"text\": "
-      "\"std::thread in src/socknet outside the event-loop shard pool\"}},\n"
+      "\"std::thread in src/runtime or src/socknet outside the executor\"}},\n"
       "        {\"id\": \"unbounded-store\", \"shortDescription\": {\"text\": "
       "\"Tag-keyed std::map outside the compact object store\"}}\n"
       "      ]\n"

@@ -7,8 +7,8 @@
 //
 // The assertions are deliberately weak (completion counts, values from the
 // written set); the real oracle is ThreadSanitizer observing the
-// interleavings between the scheduler thread, mailbox threads, timer
-// dispatch, and the blocking callers.
+// interleavings between the executor's loop shards (delays and timers),
+// its mailbox consumers, and the blocking callers.
 #include <gtest/gtest.h>
 
 #include <atomic>

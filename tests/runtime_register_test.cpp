@@ -162,7 +162,7 @@ TEST(RuntimeRegisterTest, ConcurrentClientsFromDifferentThreads) {
 }
 
 TEST(RuntimeRegisterTest, ShardedServersOnRealThreads) {
-  // Each server runs 4 delivery shards (4 mailbox threads apiece): the
+  // Each server runs 4 delivery shards (4 contexts on the pooled consumers): the
   // envelope-peek routing and the mutex-guarded per-shard object tables
   // all run on real OS threads here, not just the simulator.
   RuntimeBsr cluster(5, 1, 0, 0, /*server_shards=*/4);

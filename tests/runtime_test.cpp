@@ -1,10 +1,12 @@
-// Tests for the thread-per-process real-time transport.
+// Tests for the in-memory real-time transport.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
+#include "harness/thread_cluster.h"
 #include "net/transport.h"
 #include "runtime/thread_network.h"
 
@@ -126,20 +128,38 @@ TEST(ThreadNetworkTest, CrashedProcessStopsReceivingAndSending) {
   net.stop();
 }
 
-TEST(ThreadNetworkTest, BlockingInvokerCompletesViaCallback) {
-  ThreadNetwork net(RuntimeConfig{});
-  Counter a(ProcessId::writer(0));
-  net.add_process(ProcessId::writer(0), &a);
-  net.start();
+size_t threads_in_process() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
 
-  BlockingInvoker invoker(net);
-  std::atomic<bool> ran{false};
-  invoker.run(ProcessId::writer(0), [&](std::function<void()> done) {
-    ran.store(true);
-    done();
-  });
-  EXPECT_TRUE(ran.load());
-  net.stop();
+TEST(ThreadNetworkTest, ClusterRunsOnTheExecutorThreadBudget) {
+  // n = 5 servers with 4 delivery shards each plus 4 clients: 24 delivery
+  // contexts, all multiplexed onto the executor's loop shards and mailbox
+  // consumers.
+  const auto budget = net::TransportOptions{}.resolved();
+  // ThreadSanitizer starts a background thread of its own with the first
+  // thread; start one first so `before` already counts it.
+  std::thread([] {}).join();
+  const size_t before = threads_in_process();
+  {
+    harness::ThreadClusterOptions o;
+    o.config.n = 5;
+    o.config.f = 1;
+    o.config.server_shards = 4;
+    o.num_writers = 2;
+    o.num_readers = 2;
+    harness::ThreadCluster cluster(o);
+    cluster.write(0, Bytes{1});
+    EXPECT_EQ(cluster.read(0).value, (Bytes{1}));
+    EXPECT_LE(threads_in_process() - before,
+              budget.loop_shards + budget.mailbox_shards);
+  }
+  EXPECT_EQ(threads_in_process(), before);
 }
 
 TEST(ThreadNetworkTest, StopIsIdempotentAndJoinsCleanly) {

@@ -126,7 +126,7 @@ TEST_P(StressTest, RandomFaultScheduleKeepsConsistency) {
   }
 
   CheckOptions copts;
-  copts.reads_report_tags = protocol != ProtocolVariant::kBcsr;
+  copts.reads_report_tags = registers::reads_report_tags(protocol);
   // Strict validity holds for witness-verified protocols even under these
   // adversaries; BCSR's decoder may legally emit any V-value under
   // concurrency (Def. 1(ii)), and the baseline is checked as safe only.

@@ -142,7 +142,7 @@ int run_scenario(const Options& o) {
   co.num_readers = 1;
 
   checker::CheckOptions copts;
-  copts.reads_report_tags = o.protocol != registers::ProtocolVariant::kBcsr;
+  copts.reads_report_tags = registers::reads_report_tags(o.protocol);
 
   if (o.scenario == "theorem3") {
     co.num_writers = 5;
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.auth_failures));
 
   checker::CheckOptions copts;
-  copts.reads_report_tags = o.protocol != registers::ProtocolVariant::kBcsr;
+  copts.reads_report_tags = registers::reads_report_tags(o.protocol);
   const auto safe = checker::check_safety(cluster.recorder().ops(), copts);
   const auto reg = checker::check_regularity(cluster.recorder().ops(), copts);
   const auto atom = checker::check_atomicity(cluster.recorder().ops(), copts);

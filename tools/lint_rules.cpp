@@ -724,17 +724,19 @@ void line_rules(const std::string& rel_path, const Prepared& p,
            "std::thread outside src/runtime, src/socknet, src/harness; "
            "protocol code must stay single-threaded per process");
     }
-    // Within the TCP transport the thread budget is the event loop's:
-    // N loop shards + M mailbox consumers, all owned by event_loop.{h,cpp}.
-    // Any other std::thread in src/socknet/ reintroduces the
-    // thread-per-endpoint design the shard rewrite removed.
-    if (starts_with(rel_path, "src/socknet/") &&
-        rel_path != "src/socknet/event_loop.h" &&
-        rel_path != "src/socknet/event_loop.cpp" &&
+    // Both real-time transports run on one executor, whose thread budget
+    // is N loop shards + M mailbox consumers, all owned by
+    // runtime/executor.{h,cpp}. Any other std::thread in src/runtime/ or
+    // src/socknet/ brings back a thread per process or per endpoint.
+    if ((starts_with(rel_path, "src/runtime/") ||
+         starts_with(rel_path, "src/socknet/")) &&
+        rel_path != "src/runtime/executor.h" &&
+        rel_path != "src/runtime/executor.cpp" &&
         std::regex_search(code, kRawThread)) {
       flag(i, "socknet-thread",
-           "std::thread in src/socknet outside event_loop.{h,cpp}; transport "
-           "threads belong to the LoopShard / MailboxPool budget");
+           "std::thread in src/runtime or src/socknet outside "
+           "runtime/executor.{h,cpp}; transport threads belong to the "
+           "executor's loop shards and mailbox consumers");
     }
     if (std::regex_search(code, kDetach)) {
       flag(i, "detach",
@@ -1343,7 +1345,7 @@ constexpr RuleMeta kRuleCatalog[] = {
     // Appended last: ruleIndex values above are frozen by the SARIF golden.
     {"quorum-arithmetic", "quorum-sized arithmetic outside config.h"},
     {"socknet-thread",
-     "std::thread in src/socknet outside the event-loop shard pool"},
+     "std::thread in src/runtime or src/socknet outside the executor"},
     {"unbounded-store",
      "Tag-keyed std::map outside the compact object store"},
 };

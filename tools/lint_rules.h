@@ -95,12 +95,13 @@
 //                       on and costs a full fence on weakly-ordered
 //                       targets. Multi-line calls are handled by a bounded
 //                       paren-balanced look-ahead.
-//   socknet-thread      std::thread inside src/socknet/ anywhere but
-//                       event_loop.{h,cpp}. The transport's entire thread
-//                       budget is the LoopShard pool + MailboxPool
-//                       consumers; a thread spawned elsewhere in the
-//                       transport is the per-endpoint reader/writer design
-//                       creeping back in.
+//   socknet-thread      std::thread inside src/runtime/ or src/socknet/
+//                       anywhere but runtime/executor.{h,cpp}. Both
+//                       real-time transports run on that executor, whose
+//                       loop shards + mailbox consumers are their entire
+//                       thread budget; a thread spawned elsewhere in them
+//                       is a thread per process or per endpoint creeping
+//                       back in.
 //
 // A finding can be waived by putting `bftreg-lint: allow(<rule>)` in a
 // comment on the offending line or the line directly above it, with a
