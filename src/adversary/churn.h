@@ -9,9 +9,9 @@
 // (harness::schedule_seed), so a failing churn execution reproduces
 // bit-identically regardless of ctest shuffle order.
 //
-// The builders below encode the three adversarial timings the membership
-// layer must survive (Kumar-Welch's churn hazards, specialized to a single
-// crash/rejoin):
+// The builders below encode the three adversarial timings crash/rejoin
+// recovery must survive (Kumar-Welch's churn hazards, specialized to a
+// single crash/rejoin):
 //   - crash DURING a write: the victim may have ACKed the put and then lost
 //     the quorum its ACK was counted toward;
 //   - crash during a read's write-back: same hazard on the read side

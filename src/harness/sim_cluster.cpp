@@ -132,20 +132,6 @@ void SimCluster::restart_server(size_t index) {
   sim_->post(pid, [raw] { raw->begin_catch_up(); });
 }
 
-void SimCluster::announce_view(uint64_t epoch,
-                               const std::vector<uint32_t>& members) {
-  std::vector<ProcessId> recipients;
-  for (const auto& [pid, process] : assembly_.processes()) recipients.push_back(pid);
-  for (size_t i = 0; i < options_.config.n; ++i) {
-    registers::RegisterServer* srv = assembly_.server(i);
-    if (srv == nullptr) continue;
-    if (sim_->is_crashed(ProcessId::server(static_cast<uint32_t>(i)))) continue;
-    srv->broadcast_view(epoch, members, recipients);
-    return;
-  }
-  assert(false && "announce_view: no live honest server to announce from");
-}
-
 void SimCluster::crash_writer(size_t index) {
   sim_->mark_crashed(writer_id(index));
 }

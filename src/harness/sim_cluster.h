@@ -83,7 +83,7 @@ class SimCluster {
   void crash_server(size_t index);
   void crash_writer(size_t index);
 
-  // --- dynamic membership (requires options.wal_dir) -----------------------
+  // --- crash/rejoin (requires options.wal_dir) -----------------------------
 
   /// Crash-and-rejoin: retires the server object at `index` (its WAL file
   /// survives), constructs a recovered PersistentRegisterServer that replays
@@ -98,11 +98,6 @@ class SimCluster {
   storage::PersistentRegisterServer* persistent_server(size_t index) {
     return assembly_.persistent_server(index);
   }
-
-  /// Has the lowest-indexed live honest server broadcast
-  /// VIEW-ANNOUNCE(epoch, members) to all servers and clients (an empty
-  /// member list means the full static set).
-  void announce_view(uint64_t epoch, const std::vector<uint32_t>& members);
 
   // --- access ---------------------------------------------------------------
 

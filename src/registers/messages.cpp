@@ -6,21 +6,20 @@ namespace bftreg::registers {
 
 namespace {
 constexpr uint8_t kMinType = static_cast<uint8_t>(MsgType::kQueryTag);
-constexpr uint8_t kMaxType = static_cast<uint8_t>(MsgType::kViewAnnounce);
+constexpr uint8_t kMaxType = static_cast<uint8_t>(MsgType::kObjectsResp);
 
 /// Type, op id and object: the fixed-width prefix.
 constexpr size_t kFixedBytes = 1 + 8 + 4;
 
-/// Presence byte: one bit per optional field; bits 6-7 are reserved.
+/// Presence byte: one bit per optional field; bits 5-7 are reserved.
 enum Presence : uint8_t {
   kHasTag = 1 << 0,
   kHasValue = 1 << 1,
   kHasHistory = 1 << 2,
   kHasTags = 1 << 3,
   kHasObjects = 1 << 4,
-  kHasEpoch = 1 << 5,
 };
-constexpr uint8_t kPresenceMask = (1 << 6) - 1;
+constexpr uint8_t kPresenceMask = (1 << 5) - 1;
 
 /// Smallest compact tag: one varint byte each for num and writer.
 constexpr size_t kMinTagBytes = 2;
@@ -41,7 +40,6 @@ uint8_t presence_of(const RegisterMessage& m) {
   if (!m.history.empty()) p |= kHasHistory;
   if (!m.tags.empty()) p |= kHasTags;
   if (!m.objects.empty()) p |= kHasObjects;
-  if (m.epoch != 0) p |= kHasEpoch;
   return p;
 }
 }  // namespace
@@ -69,7 +67,6 @@ const char* to_string(MsgType t) {
     case MsgType::kDataBatchResp: return "DATA-BATCH-RESP";
     case MsgType::kQueryObjects: return "QUERY-OBJECTS";
     case MsgType::kObjectsResp: return "OBJECTS-RESP";
-    case MsgType::kViewAnnounce: return "VIEW-ANNOUNCE";
   }
   return "?";
 }
@@ -96,7 +93,6 @@ Bytes RegisterMessage::encode() const {
     total += Serializer::varint_size(objects.size());
     for (const uint32_t o : objects) total += Serializer::varint_size(o);
   }
-  if (presence & kHasEpoch) total += Serializer::varint_size(epoch);
 
   Serializer s;
   s.reserve(total);
@@ -121,7 +117,6 @@ Bytes RegisterMessage::encode() const {
     s.put_varint(objects.size());
     for (const uint32_t o : objects) s.put_varint(o);
   }
-  if (presence & kHasEpoch) s.put_varint(epoch);
   return s.take();
 }
 
@@ -173,10 +168,6 @@ std::optional<RegisterMessage> RegisterMessage::parse(BytesView payload) {
     if (!count_fits(d, count, 1)) return std::nullopt;
     m.objects.reserve(count);
     for (uint64_t i = 0; i < count; ++i) m.objects.push_back(d.get_varint32());
-  }
-  if (presence & kHasEpoch) {
-    m.epoch = d.get_varint();
-    if (m.epoch == 0) return std::nullopt;
   }
 
   if (!d.done()) return std::nullopt;

@@ -12,14 +12,15 @@
 //   offset 1   op_id      u64 little-endian
 //   offset 9   object     u32 little-endian
 //   offset 13  presence   u8: bit 0 tag, 1 value, 2 history, 3 tags,
-//                         4 objects, 5 epoch; bits 6-7 are zero
+//                         4 objects; bits 5-7 are reserved and zero
 //   then each present field, in bit order:
 //     tag      varint(num), varint(writer index << 2 | role)
 //     value    varint(length), bytes
 //     history  varint(count), then count x (tag, value)
 //     tags     varint(count), then count x tag
 //     objects  varint(count), then count x varint(id)
-//     epoch    varint
+//
+// Types run from 1 (QUERY-TAG) to 21 (OBJECTS-RESP) with no gaps.
 //
 // Varints are shortest-form unsigned LEB128 (common/serde.h). Bytes 0-12
 // are fixed-width so routing can peek the type, op id and object in place
@@ -64,11 +65,9 @@ enum class MsgType : uint8_t {
   kQueryDataBatch = 18,  // reader -> server: newest pair of EACH object
   kDataBatchResp = 19,   // server -> reader: pairs aligned with `objects`
 
-  // --- dynamic membership (reconfiguration extension) ----------------------
+  // --- crash/rejoin catch-up (storage/persistent_server.h) ----------------
   kQueryObjects = 20,    // recovering server -> peer: list your object ids
   kObjectsResp = 21,     // peer -> recovering server: ids in `objects`
-  kViewAnnounce = 22,    // join/leave announcement: `epoch` + members in
-                         // `objects` (empty = the full static server set)
 };
 
 struct TaggedValue {
@@ -90,12 +89,8 @@ struct RegisterMessage {
   Bytes value;
   std::vector<TaggedValue> history;  // kHistoryResp; kDataBatchResp pairs
   std::vector<Tag> tags;             // kTagHistoryResp
-  std::vector<uint32_t> objects;     // kQueryDataBatch / kDataBatchResp;
-                                     // member server indices (kViewAnnounce)
-  /// Membership epoch this message was sent under. Servers stamp their
-  /// current epoch into every reply so clients learn of view changes by
-  /// piggyback; 0 is the initial (static) view, which costs no wire bytes.
-  uint64_t epoch{0};
+  std::vector<uint32_t> objects;     // kQueryDataBatch / kDataBatchResp /
+                                     // kObjectsResp
 
   /// Exact-size encoding: one allocation per message.
   Bytes encode() const;

@@ -12,22 +12,15 @@ net::Transport* PendingOp::transport() const { return mux_->transport(); }
 
 const ProcessId& PendingOp::self() const { return mux_->id(); }
 
-void PendingOp::send_to_all_servers(RegisterMessage& msg) {
-  // Stamp the epoch this attempt runs under: servers fold it in (so the
-  // cluster converges on the newest view even without announces), and the
-  // mux compares it against later views to find straddling ops.
-  view_epoch_ = mux_->view_epoch();
-  msg.epoch = view_epoch_;
+void PendingOp::send_to_all_servers(const RegisterMessage& msg) {
   // One buffer for the whole fan-out: every destination shares it.
   const Payload payload(msg.encode());
-  for (const uint32_t i : mux_->view().members) {
+  for (uint32_t i = 0; i < config().n; ++i) {
     transport()->send_payload(self(), ProcessId::server(i), payload);
   }
 }
 
-void PendingOp::send_to_server(uint32_t index, RegisterMessage& msg) {
-  view_epoch_ = mux_->view_epoch();
-  msg.epoch = view_epoch_;
+void PendingOp::send_to_server(uint32_t index, const RegisterMessage& msg) {
   transport()->send(self(), ProcessId::server(index), msg.encode());
 }
 
@@ -101,28 +94,11 @@ void OpMux::on_message(const net::Envelope& env) {
   if (!env.from.is_server()) return;
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
-  // View tracking first: every server reply piggybacks its epoch, and a
-  // VIEW-ANNOUNCE (op_id 0, matching no in-flight op) is pure view signal.
-  if (view_.observe(*msg)) on_view_change();
   auto it = ops_.find(msg->op_id);
   if (it == ops_.end()) return;  // straggler or fabrication: no such op
   // The handler may complete the op (detach + destroy); `it` must not be
   // touched afterwards.
   it->second->on_response(env.from, std::move(*msg));
-}
-
-void OpMux::on_view_change() {
-  // "Abort and retry" for ops straddling the epoch boundary: re-issue each
-  // one under its SAME op id. Replies already collected stay valid (the
-  // quorum is counted over the full universe), and the fresh attempt
-  // reaches the new view's members -- in particular a rejoined server the
-  // old attempt's sends never targeted.
-  const uint64_t epoch = view_.epoch();
-  for (auto& [id, op] : ops_) {
-    if (op->view_epoch_ >= epoch) continue;
-    ++view_retries_;
-    op->retransmit();  // updates op->view_epoch_ via send_to_*
-  }
 }
 
 std::unique_ptr<PendingOp> OpMux::detach(uint64_t op_id) {

@@ -46,7 +46,6 @@
 #include "registers/config.h"
 #include "registers/messages.h"
 #include "registers/results.h"
-#include "registers/view.h"
 
 namespace bftreg::registers {
 
@@ -115,14 +114,10 @@ class PendingOp {
   uint32_t retries() const { return retries_; }
   bool timed_out() const { return timed_out_; }
 
-  /// Sends to every member of the current view (not blindly 0..n-1), and
-  /// stamps the view epoch into `msg` (hence non-const) plus into this op,
-  /// so the mux can tell which in-flight ops straddle a later view change.
-  void send_to_all_servers(RegisterMessage& msg);
-  void send_to_server(uint32_t index, RegisterMessage& msg);
-
-  /// The membership epoch under which this op last sent a request.
-  uint64_t view_epoch() const { return view_epoch_; }
+  /// Sends to every server, 0..n-1: the fixed server set of the paper's
+  /// model, which every operation addresses in full (Figs. 1-6).
+  void send_to_all_servers(const RegisterMessage& msg);
+  void send_to_server(uint32_t index, const RegisterMessage& msg);
 
   /// Stamps the bookkeeping fields every result shares (timestamps, round
   /// count, retry/timeout outcome).
@@ -145,9 +140,6 @@ class PendingOp {
   bool timed_out_{false};
   RetryPolicy policy_{};
   TimeNs cur_timeout_{0};
-  /// Epoch of the view this op last sent under; stale ops are retransmitted
-  /// (same id -- earlier replies still count) when the view advances.
-  uint64_t view_epoch_{0};
 };
 
 /// Protocol discriminator for op-id namespacing. Distinct kinds make the
@@ -199,16 +191,6 @@ class OpMux final {
   /// Deadline-triggered retransmissions across all operations.
   uint64_t retransmits() const { return retransmits_; }
 
-  // --- dynamic membership -------------------------------------------------
-
-  /// Current membership view (epoch 0 / full set until a change is seen).
-  const MembershipView& view() const { return view_.view(); }
-  uint64_t view_epoch() const { return view_.epoch(); }
-  /// Retransmissions forced by a view change (ops that straddled an epoch
-  /// boundary and were re-issued -- the "abort and retry" of the tentpole;
-  /// same op id, so replies already collected still count).
-  uint64_t view_retries() const { return view_retries_; }
-
  private:
   friend class PendingOp;
 
@@ -228,15 +210,10 @@ class OpMux final {
   /// `op` missed its deadline: retransmit with backoff, or time out.
   void expire(PendingOp* op);
   uint64_t allocate_op_id(OpKind kind, uint32_t object);
-  /// The view advanced: re-issue every in-flight op that last sent under an
-  /// older epoch. retransmit() never completes/detaches an op, so iterating
-  /// the table while calling it is safe.
-  void on_view_change();
 
   const ProcessId self_;
   const SystemConfig config_;
   net::Transport* const transport_;
-  ViewTracker view_{config_};
 
   std::unordered_map<uint64_t, std::unique_ptr<PendingOp>> ops_;
   /// Namespace hash -> next sequence number (starts at 1; 0 is never used,
@@ -261,7 +238,6 @@ class OpMux final {
 
   uint64_t timeouts_{0};
   uint64_t retransmits_{0};
-  uint64_t view_retries_{0};
 };
 
 }  // namespace bftreg::registers

@@ -133,33 +133,8 @@ std::vector<uint32_t> RegisterServer::object_ids() const {
   return out;
 }
 
-void RegisterServer::reply(const ProcessId& to, RegisterMessage& msg) {
-  msg.epoch = view_epoch_.load(std::memory_order_acquire);
+void RegisterServer::reply(const ProcessId& to, const RegisterMessage& msg) {
   transport_->send(self_, to, msg.encode());
-}
-
-void RegisterServer::observe_epoch(uint64_t epoch) {
-  uint64_t cur = view_epoch_.load(std::memory_order_relaxed);
-  while (epoch > cur &&
-         !view_epoch_.compare_exchange_weak(cur, epoch,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-  }
-}
-
-void RegisterServer::broadcast_view(uint64_t epoch,
-                                    const std::vector<uint32_t>& members,
-                                    const std::vector<ProcessId>& recipients) {
-  observe_epoch(epoch);
-  RegisterMessage msg;
-  msg.type = MsgType::kViewAnnounce;
-  msg.objects = members;
-  msg.epoch = epoch;  // the announced epoch, not (necessarily) our newest
-  const Payload payload(msg.encode());
-  for (const ProcessId& to : recipients) {
-    if (to == self_) continue;
-    transport_->send_payload(self_, to, payload);
-  }
 }
 
 void RegisterServer::handle_query_objects(const ProcessId& from,
@@ -192,9 +167,6 @@ void RegisterServer::on_message(const net::Envelope& env) {
               << to_string(env.from);
     return;
   }
-  // Fold the piggybacked epoch in before dispatch: even requests carry the
-  // sender's view, so a server that missed an announce converges anyway.
-  observe_epoch(msg->epoch);
   switch (msg->type) {
     case MsgType::kQueryTag:
       handle_query_tag(env.from, *msg);
@@ -222,10 +194,6 @@ void RegisterServer::on_message(const net::Envelope& env) {
       break;
     case MsgType::kQueryObjects:
       handle_query_objects(env.from, *msg);
-      break;
-    case MsgType::kViewAnnounce:
-      // The epoch fold above is the whole effect: views are tracked by
-      // clients; servers only need the epoch for piggybacking.
       break;
     default:
       // Response types and RB frames are not for a basic server.

@@ -102,21 +102,6 @@ class RegisterServer : public net::IProcess {
     return puts_applied_.load(std::memory_order_relaxed);
   }
 
-  // --- dynamic membership (reconfiguration extension) ---------------------
-
-  /// The newest membership epoch this server has evidence for. Stamped
-  /// into every outgoing reply so clients track view changes by piggyback.
-  uint64_t view_epoch() const {
-    return view_epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Announces a view change: sends VIEW-ANNOUNCE(epoch, members) to every
-  /// recipient (typically the full server set plus known clients). An empty
-  /// `members` list means "the full static set". Adopts `epoch` locally
-  /// first, so this server's own replies immediately carry it.
-  void broadcast_view(uint64_t epoch, const std::vector<uint32_t>& members,
-                      const std::vector<ProcessId>& recipients);
-
  protected:
   /// Inserts (tag, value) according to the store policy; returns true if the
   /// entry was added. Also satisfies deferred QUERY-DATA-AT readers.
@@ -124,15 +109,9 @@ class RegisterServer : public net::IProcess {
   /// interpose write-ahead logging. Runs on `object`'s owner shard.
   virtual bool apply_put(uint32_t object, const Tag& tag, Bytes value);
 
-  /// Stamps the current view epoch into `msg` (hence non-const) and sends
-  /// it. Every reply path funnels through here so epoch piggybacking cannot
-  /// be forgotten by a handler.
-  void reply(const ProcessId& to, RegisterMessage& msg);
-
-  /// Monotonic fold of an observed epoch into view_epoch_ (CAS-max; any
-  /// shard thread). Called for every parsed message so a server that missed
-  /// a VIEW-ANNOUNCE still converges from request traffic.
-  void observe_epoch(uint64_t epoch);
+  /// Encodes `msg` and sends it to `to`; every reply path funnels through
+  /// here.
+  void reply(const ProcessId& to, const RegisterMessage& msg);
 
   /// QUERY-OBJECTS -> OBJECTS-RESP: every object id this server has
   /// materialized (capped; see .cpp). Takes each shard's mutex in turn, so
@@ -202,9 +181,6 @@ class RegisterServer : public net::IProcess {
   Bytes initial_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> puts_applied_{0};
-  /// Newest membership epoch observed (piggybacked or announced); grows
-  /// monotonically via CAS-max. 0 is the initial static view.
-  std::atomic<uint64_t> view_epoch_{0};
   /// Incrementally maintained sum of value bytes across all lists (updated
   /// by owner shards on insert/GC-erase; relaxed -- it is a metric).
   std::atomic<size_t> stored_bytes_{0};

@@ -20,7 +20,9 @@ constexpr int kMaxEvents = 128;
 ///
 /// Every item runs under its context's entry token, taken seq_cst BEFORE
 /// the crashed check (the other half of Executor::quiesce's handshake), and
-/// the process object is loaded per item.
+/// the process object is loaded per item. A task of an earlier incarnation
+/// is dropped like a crashed context's: revive publishes the advance that
+/// replace_process made before it.
 ///
 /// Batch brackets (IProcess::on_batch_begin/end) are keyed on the context:
 /// a bracket opens before the first delivery of a run, and closes when the
@@ -50,7 +52,9 @@ void consume(MailboxShard* box) {
     if (ctx->crashed.load(std::memory_order_seq_cst)) {
       open = nullptr;  // crashed: abandon the bracket, never re-enter
     } else if (item.fn) {
-      item.fn();
+      if (item.incarnation == ctx->incarnation.load(std::memory_order_acquire)) {
+        item.fn();
+      }
     } else {
       net::IProcess* proc = ctx->process.load(std::memory_order_acquire);
       if (open == nullptr || open_proc != proc) {
@@ -431,9 +435,7 @@ void Executor::deliver(Slot* slot, net::Envelope env) {
 }
 
 void Executor::post(const ProcessId& pid, std::function<void()> fn) {
-  if (Slot* slot = find(pid)) {
-    push(MailItem{slot->contexts[0].get(), {}, std::move(fn)});
-  }
+  post_after(pid, 0, std::move(fn));
 }
 
 void Executor::post_after(const ProcessId& pid, TimeNs delta,
@@ -441,12 +443,14 @@ void Executor::post_after(const ProcessId& pid, TimeNs delta,
   Slot* slot = find(pid);
   if (slot == nullptr) return;
   Context* ctx = slot->contexts[0].get();
+  // Stamped when armed, not when due: a restart in between retires it.
+  const uint64_t incarnation = ctx->incarnation.load(std::memory_order_acquire);
   if (delta == 0) {
-    push(MailItem{ctx, {}, std::move(fn)});
+    push(MailItem{ctx, {}, std::move(fn), incarnation});
     return;
   }
-  run_after(slot, delta, [this, ctx, fn = std::move(fn)]() mutable {
-    push(MailItem{ctx, {}, std::move(fn)});
+  run_after(slot, delta, [this, ctx, incarnation, fn = std::move(fn)]() mutable {
+    push(MailItem{ctx, {}, std::move(fn), incarnation});
   });
 }
 
@@ -490,9 +494,11 @@ void Executor::replace_process(const ProcessId& pid, net::IProcess* process) {
          "replacement process must use the same shard count");
   // Release pairs with the consumer's per-item acquire load: everything the
   // replacement's constructor did (WAL replay included) is visible before
-  // any handler runs it.
+  // any handler runs it. The incarnation advance retires every task and
+  // timer of the old object.
   for (auto& ctx : slot->contexts) {
     ctx->process.store(process, std::memory_order_release);
+    ctx->incarnation.fetch_add(1, std::memory_order_release);
   }
 }
 

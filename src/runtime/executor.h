@@ -19,9 +19,9 @@
 //     count.
 //
 // A context owns its process pointer (atomic, so replace_process can swap
-// it), a crashed flag and a handler-entry token. mark_crashed / quiesce /
-// replace_process / revive are the live-restart surface both transports
-// forward (see quiesce() for the handshake).
+// it), a crashed flag, an incarnation number and a handler-entry token.
+// mark_crashed / quiesce / replace_process / revive are the live-restart
+// surface both transports forward (see quiesce() for the handshake).
 //
 // Because one consumer serves several processes, a handler must never
 // block waiting on another context: that context may be queued behind it
@@ -180,6 +180,9 @@ struct Context {
   /// This line is read-mostly: producers read it on every send.
   alignas(64) std::atomic<net::IProcess*> process{nullptr};
   std::atomic<bool> crashed{false};
+  /// Advanced by replace_process; dispatch drops tasks and timers posted or
+  /// armed under an earlier one. Envelopes reach whichever object is current.
+  std::atomic<uint64_t> incarnation{0};
   /// The delivery shard index passed to on_batch_begin/on_batch_end.
   uint32_t shard{0};
   /// The consumer ring this context is pinned to.
@@ -243,7 +246,9 @@ class Executor {
   //   quiesce(pid)         -- wait until no consumer is inside one of its
   //                           handlers (safe point for WAL replay);
   //   replace_process(pid) -- swap in the recovered object (same shard
-  //                           count); queued items deliver to it;
+  //                           count) and advance the incarnation: queued
+  //                           envelopes deliver to it, while tasks posted
+  //                           and timers armed before the swap never run;
   //   revive(pid)          -- resume dispatching.
   // The caller keeps the old object alive until stop().
 

@@ -53,6 +53,8 @@ struct MailItem {
   net::Envelope env;
   /// Non-null: run this task. Null: deliver `env`.
   std::function<void()> fn;
+  /// Tasks only: the context's incarnation when posted or armed (Context).
+  uint64_t incarnation{0};
 };
 
 class MailboxShard {

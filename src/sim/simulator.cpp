@@ -16,7 +16,11 @@ Simulator::Simulator(SimConfig config)
 
 void Simulator::add_process(const ProcessId& pid, net::IProcess* process) {
   assert(process != nullptr);
-  processes_[pid] = process;
+  auto [it, inserted] = processes_.try_emplace(pid, Registration{process, 0});
+  if (!inserted) {
+    it->second.process = process;
+    ++it->second.incarnation;
+  }
 }
 
 void Simulator::mark_crashed(const ProcessId& pid) { crashed_.insert(pid); }
@@ -26,8 +30,8 @@ bool Simulator::is_crashed(const ProcessId& pid) const {
 }
 
 void Simulator::start_all() {
-  for (auto& [pid, proc] : processes_) {
-    net::IProcess* p = proc;
+  for (auto& [pid, reg] : processes_) {
+    net::IProcess* p = reg.process;
     ProcessId id = pid;
     schedule_at(now_, [this, p, id] {
       if (!is_crashed(id)) p->on_start();
@@ -69,20 +73,24 @@ void Simulator::deliver(net::Envelope env) {
     return;
   }
   metrics_.on_deliver();
-  it->second->on_message(env);
+  it->second.process->on_message(env);
 }
 
 void Simulator::post(const ProcessId& pid, std::function<void()> fn) {
-  schedule_at(now_, [this, pid, f = std::move(fn)] {
-    if (!is_crashed(pid)) f();
-  });
+  post_after(pid, 0, std::move(fn));
 }
 
 void Simulator::post_after(const ProcessId& pid, TimeNs delta,
                            std::function<void()> fn) {
-  schedule_at(now_ + delta, [this, pid, f = std::move(fn)] {
-    if (!is_crashed(pid)) f();
+  // Dropped if `pid` is crashed when it falls due, or re-registered since.
+  schedule_at(now_ + delta, [this, pid, inc = incarnation_of(pid), f = std::move(fn)] {
+    if (!is_crashed(pid) && incarnation_of(pid) == inc) f();
   });
+}
+
+uint64_t Simulator::incarnation_of(const ProcessId& pid) const {
+  const auto it = processes_.find(pid);
+  return it == processes_.end() ? 0 : it->second.incarnation;
 }
 
 void Simulator::schedule_at(TimeNs at, std::function<void()> fn) {

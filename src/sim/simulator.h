@@ -53,7 +53,9 @@ class Simulator final : public net::Transport {
   // --- topology -----------------------------------------------------------
 
   /// Registers a process; the caller retains ownership and must keep the
-  /// object alive for the simulator's lifetime.
+  /// object alive for the simulator's lifetime. Registering over an
+  /// existing pid replaces the object and starts a new incarnation: tasks
+  /// posted and timers armed for the old object are dropped.
   void add_process(const ProcessId& pid, net::IProcess* process);
 
   /// Marks a process as crashed: no further sends from it are placed and no
@@ -65,8 +67,9 @@ class Simulator final : public net::Transport {
   /// Clears the crashed mark: sends and deliveries resume. Pair with a
   /// fresh add_process(pid, ...) to model crash/rejoin -- add_process
   /// overwrites, and deliveries resolve the process pointer at delivery
-  /// time, so events queued across the restart reach the NEW object (to
-  /// the protocol that is just a slow network).
+  /// time, so messages queued across the restart reach the NEW object (to
+  /// the protocol that is just a slow network), while the old object's
+  /// tasks and timers do not.
   void revive(const ProcessId& pid) { crashed_.erase(pid); }
 
   /// Calls on_start() for every registered process (as time-0 events).
@@ -125,7 +128,14 @@ class Simulator final : public net::Transport {
     }
   };
 
+  /// A registered process and how many times its pid was re-registered.
+  struct Registration {
+    net::IProcess* process{nullptr};
+    uint64_t incarnation{0};
+  };
+
   void deliver(net::Envelope env);
+  uint64_t incarnation_of(const ProcessId& pid) const;
 
   TimeNs now_{0};
   uint64_t next_seq_{0};
@@ -134,7 +144,7 @@ class Simulator final : public net::Transport {
   crypto::Authenticator auth_;
   std::unique_ptr<net::ScriptedDelay> scripted_;
   net::NetworkMetrics metrics_;
-  std::unordered_map<ProcessId, net::IProcess*> processes_;
+  std::unordered_map<ProcessId, Registration> processes_;
   std::unordered_set<ProcessId> crashed_;
   std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
 };

@@ -93,7 +93,6 @@ void PersistentRegisterServer::begin_catch_up() {
   RegisterMessage query;
   query.type = MsgType::kQueryObjects;
   query.op_id = kCatchUpObjectsOp;
-  query.epoch = view_epoch();
   const Payload payload(query.encode());
   for (const ProcessId& p : peers()) {
     transport_->send_payload(self_, p, payload);
@@ -103,7 +102,6 @@ void PersistentRegisterServer::begin_catch_up() {
 void PersistentRegisterServer::handle_catch_up_message(const net::Envelope& env) {
   auto msg = RegisterMessage::parse(env.payload);
   if (!msg) return;
-  observe_epoch(msg->epoch);
   switch (msg->type) {
     case MsgType::kObjectsResp: {
       if (batch_phase_ || msg->op_id != kCatchUpObjectsOp ||
@@ -142,8 +140,6 @@ void PersistentRegisterServer::handle_catch_up_message(const net::Envelope& env)
       finish_catch_up();
       return;
     }
-    case MsgType::kViewAnnounce:
-      return;  // epoch folded above; nothing else to do while catching up
     case MsgType::kQueryTag:
     case MsgType::kPutData:
     case MsgType::kQueryData:
@@ -175,7 +171,6 @@ void PersistentRegisterServer::start_batch_phase() {
   RegisterMessage query;
   query.type = MsgType::kQueryDataBatch;
   query.op_id = kCatchUpBatchOp;
-  query.epoch = view_epoch();
   // Same cap as the peers' batch handler; a larger union would need
   // multiple rounds, which no current workload produces (the cap exists to
   // bound a single Byzantine peer's influence, and ids beyond it would
@@ -196,14 +191,12 @@ void PersistentRegisterServer::start_batch_phase() {
 }
 
 void PersistentRegisterServer::finish_catch_up() {
+  // Nothing is announced: clients address all n servers on every request,
+  // so the next one to reach this server is simply answered.
   serving_.store(true, std::memory_order_release);
-  // Announce the rejoin: a fresh epoch over the full static set. Clients
-  // not directly addressed learn by piggyback (every subsequent reply from
-  // any server carries the new epoch) and retransmit straddling ops.
-  broadcast_view(view_epoch() + 1, {}, config_.servers());
   LOG_INFO << to_string(self_) << ": catch-up complete (adopted " << adopted_
            << " pairs, refused " << refused_.load(std::memory_order_relaxed)
-           << " requests), serving at epoch " << view_epoch();
+           << " requests), serving";
 }
 
 }  // namespace bftreg::storage

@@ -10,7 +10,7 @@
 // value that a completed write counted on; see
 // storage_test.cpp/RecoveryKeepsWitnessGuarantee.)
 //
-// Recovery policy (dynamic membership, docs/MEMBERSHIP.md): replay alone
+// Recovery policy (crash/rejoin, docs/MEMBERSHIP.md): replay alone
 // restores only what THIS server had acknowledged before the crash. Writes
 // that completed at a quorum while it was down are absent, and answering
 // queries from that stale state would shrink the effective witness count of
@@ -26,7 +26,7 @@
 //   --> phase 2: QUERY-DATA-BATCH over the union; per (tag, value) group
 //              with >= witness_threshold() identical votes, adopt via the
 //              normal logged apply_put
-//   --> serving: announce the view (epoch + 1) so clients retarget ops
+//   --> serving (nothing is announced: see finish_catch_up)
 //
 // Safety of the vote rule: a completed write is on >= n - f servers, so on
 // >= n - f - 1 of this server's peers; any catch_up_quorum() = n - f - 1
@@ -49,9 +49,9 @@ namespace bftreg::storage {
 
 /// What a restarted server may do between WAL replay and its first reply.
 enum class RecoveryPolicy : uint8_t {
-  /// Serve straight from the replayed state (the pre-reconfiguration
-  /// behaviour; safe only if the server never missed a completed write,
-  /// e.g. in single-process tests that restart the whole cluster).
+  /// Serve straight from the replayed state (safe only if the server never
+  /// missed a completed write, e.g. in single-process tests that restart
+  /// the whole cluster).
   kServeImmediately = 0,
   /// Refuse all register traffic until quorum catch-up completes (the
   /// rejoin path; see the file comment).

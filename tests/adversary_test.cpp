@@ -12,7 +12,9 @@
 
 #include "adversary/byzantine_server.h"
 #include "adversary/churn.h"
+#include "common/serde.h"
 #include "harness/scenarios.h"
+#include "harness/sim_cluster.h"
 #include "sim/simulator.h"
 
 namespace bftreg::adversary {
@@ -244,6 +246,126 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<LiarCase>& info) {
       return std::string(info.param.name);
     });
+
+// ------------------------------------------------- view-wire attacks
+//
+// Clients address all n servers on every request, and no message names a
+// membership view or epoch. Server 4 below speaks the wire of the deleted
+// epoch-view layer raw: VIEW-ANNOUNCE (type 22) and presence bit 5 (an
+// epoch varint). parse() rejects both, so each such reply counts as
+// silence, which f = 1 tolerates. Ops are driven with start_read +
+// run_until_idle, so one that never finishes fails its assertion instead
+// of aborting the run.
+
+/// Bytes 0-13 of a frame: type, op id, object, presence.
+Bytes wire_prefix(uint8_t type, uint64_t op_id, uint32_t object, uint8_t presence) {
+  Serializer s;
+  s.put_u8(type);
+  s.put_u64(op_id);
+  s.put_u32(object);
+  s.put_u8(presence);
+  return s.take();
+}
+
+harness::ClusterOptions view_attack_options(uint64_t seed) {
+  harness::ClusterOptions o;
+  o.protocol = registers::ProtocolVariant::kBsr;
+  o.config.n = 5;
+  o.config.f = 1;
+  o.seed = seed;
+  return o;
+}
+
+/// Server 4 answers every QUERY-DATA with a DATA-RESP that carries only
+/// presence bit 5 and the varint `next_epoch()` returns.
+std::unique_ptr<Strategy> epoch_replier(std::function<uint64_t()> next_epoch) {
+  return std::make_unique<ScriptedStrategy>(
+      [next_epoch = std::move(next_epoch)](const net::Envelope& env,
+                                           ServerContext& ctx) {
+        const auto req = RegisterMessage::parse(env.payload);
+        if (!req || req->type != MsgType::kQueryData) return;
+        Serializer epoch;
+        epoch.put_varint(next_epoch());
+        Bytes resp = wire_prefix(static_cast<uint8_t>(MsgType::kDataResp),
+                                 req->op_id, req->object, 0x20);
+        const Bytes tail = epoch.take();
+        resp.insert(resp.end(), tail.begin(), tail.end());
+        ctx.send_raw(env.from, std::move(resp));
+      });
+}
+
+TEST(ViewAttackTest, AnnouncedViewCannotStrandTheReader) {
+  // A VIEW-ANNOUNCE naming servers {0, 1, 2, 4} at epoch 1 (presence 0x30:
+  // objects, then epoch) to every client that contacts server 4. Had the
+  // reader adopted it, its next read would reach only three honest servers
+  // and never gather n - f = 4 replies.
+  Bytes announce = wire_prefix(22, 0, 0, 0x30);
+  announce.insert(announce.end(), {0x04, 0x00, 0x01, 0x02, 0x04, 0x01});
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    harness::SimCluster cluster(view_attack_options(seed));
+    cluster.set_byzantine(4, std::make_unique<ScriptedStrategy>(
+                                 [announce](const net::Envelope& env,
+                                            ServerContext& ctx) {
+                                   if (!env.from.is_server()) {
+                                     ctx.send_raw(env.from, announce);
+                                   }
+                                 }));
+    const uint64_t first = cluster.start_read(0);
+    cluster.sim().run_until_idle();
+    ASSERT_TRUE(cluster.op_done(first)) << "seed " << seed;
+    const uint64_t next = cluster.start_read(0);
+    cluster.sim().run_until_idle();
+    ASSERT_TRUE(cluster.op_done(next)) << "seed " << seed;
+    EXPECT_EQ(cluster.read_result(next).value, cluster.options().config.initial_value);
+  }
+}
+
+TEST(ViewAttackTest, EpochBumpingRepliesCostNoExtraMessages) {
+  // Each lying reply names an epoch one higher than the last. A client that
+  // retransmitted its in-flight ops on every new epoch would multiply its
+  // traffic; 100 reads must cost 5 requests and 5 replies each.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    harness::SimCluster cluster(view_attack_options(seed));
+    cluster.set_byzantine(4, epoch_replier([epoch = uint64_t{0}]() mutable {
+                            return ++epoch;
+                          }));
+    cluster.start();
+    cluster.sim().run_until_idle();
+    const uint64_t before = cluster.sim().metrics().snapshot().messages_sent;
+    for (int i = 0; i < 100; ++i) {
+      const uint64_t id = cluster.start_read(0);
+      cluster.sim().run_until_idle();
+      ASSERT_TRUE(cluster.op_done(id)) << "seed " << seed << " read " << i;
+    }
+    EXPECT_EQ(cluster.sim().metrics().snapshot().messages_sent - before, 1000u)
+        << "seed " << seed;
+  }
+}
+
+TEST(ViewAttackTest, EpochNeverSpreadsToHonestTraffic) {
+  // One reply naming epoch 2^64 - 1: a client that adopted it would stamp
+  // it on its next requests, and the honest servers would fold it in. No
+  // message from an honest process may carry presence bit 5.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    harness::SimCluster cluster(view_attack_options(seed));
+    cluster.set_byzantine(4, epoch_replier([] { return UINT64_MAX; }));
+    size_t tainted = 0;
+    cluster.sim().delay_model().set_hook(
+        [&tainted](const net::Envelope& env) -> std::optional<TimeNs> {
+          if (env.from != ProcessId::server(4) && env.payload.size() > 13 &&
+              (env.payload[13] & 0x20) != 0) {
+            ++tainted;
+          }
+          return std::nullopt;
+        });
+    for (int i = 0; i < 5; ++i) {
+      const uint64_t id = cluster.start_read(0);
+      cluster.sim().run_until_idle();
+      ASSERT_TRUE(cluster.op_done(id)) << "seed " << seed << " read " << i;
+    }
+    EXPECT_EQ(tainted, 0u) << "seed " << seed;
+  }
+}
 
 // ------------------------------------------------- churn schedules
 

@@ -263,7 +263,7 @@ TEST(RecorderTest, IncompleteOpsHaveOpenInterval) {
 // --------------------------------------------- churn under the checker
 //
 // The churn schedules (adversary/churn.h) crash and rejoin a server at the
-// adversarial moments of the membership layer -- mid-write, mid-writeback,
+// adversarial moments of crash/rejoin recovery -- mid-write, mid-writeback,
 // mid-round -- and the SAME Definitions 1/2 checkers that judge Byzantine
 // executions judge these: recovery must not cost the register its
 // consistency class.

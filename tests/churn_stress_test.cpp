@@ -6,12 +6,12 @@
 // Assembly over socknet::TcpNetwork (servers listen, clients dial out),
 // both through harness::restart_server.
 //
-// This is the membership layer's end-to-end obligation on real threads:
+// This is crash/rejoin recovery's end-to-end obligation on real threads:
 //   - the executor's quiesce must fence half-run handlers before the WAL
 //     is replayed (no torn state, no data race -- TSan watches);
 //   - the recovering server must refuse traffic until quorum catch-up
 //     completes (clients just see a slow server and finish on the others);
-//   - the post-recovery VIEW-ANNOUNCE must not confuse in-flight ops.
+//   - once serving, it just answers the next request it gets.
 //
 // Labeled slow+churn: the sanitizer CI jobs run it (`ctest -L churn`),
 // quick local runs skip it (`ctest -LE slow`).

@@ -8,11 +8,11 @@
 namespace bftreg::registers {
 
 /// MsgType values run from 1 to this, with no gaps.
-inline constexpr uint8_t kLastMsgType = static_cast<uint8_t>(MsgType::kViewAnnounce);
+inline constexpr uint8_t kLastMsgType = static_cast<uint8_t>(MsgType::kObjectsResp);
 
 /// Presence bits, in wire order (messages.h): tag, value, history, tags,
-/// objects, epoch.
-inline constexpr uint8_t kAllFields = 0x3f;
+/// objects.
+inline constexpr uint8_t kAllFields = 0x1f;
 
 /// A message of `type` whose optional fields are populated exactly where
 /// `fields` has the matching presence bit. The populated values mix
@@ -36,7 +36,6 @@ inline RegisterMessage sample_message(MsgType type, uint8_t fields) {
               Tag{1ULL << 40, ProcessId::server(1)}};
   }
   if (fields & 0x10) m.objects = {0, 127, 128, UINT32_MAX};
-  if (fields & 0x20) m.epoch = 1ULL << 35;
   return m;
 }
 

@@ -71,7 +71,6 @@ std::vector<Varint> varints_of(const Bytes& b) {
   if (presence & 0x10) {
     for (uint64_t n = take(); n > 0; --n) take();
   }
-  if (presence & 0x20) take();
   return out;
 }
 

@@ -78,7 +78,7 @@ TEST(MessagesTest, RoundTripTagHistory) {
 }
 
 TEST(MessagesTest, RoundTripEveryType) {
-  // All 22 types, each with every combination of absent and populated
+  // All 21 types, each with every combination of absent and populated
   // fields: parse(encode(m)) == m, encode(parse(b)) == b, and the presence
   // byte names exactly the populated fields.
   for (uint8_t t = 1; t <= kLastMsgType; ++t) {
@@ -108,17 +108,17 @@ TEST(MessagesTest, FixedPrefixIsByteIdentical) {
   m.type = MsgType::kQueryData;
   m.op_id = 0x1122334455667788ULL;
   m.object = 0xa1b2c3d4;
-  m.epoch = 3;
+  m.tag = Tag{3, ProcessId::writer(0)};
   const Bytes b = m.encode();
   const Bytes prefix{5,    0x88, 0x77, 0x66, 0x55, 0x44, 0x33,
                      0x22, 0x11, 0xd4, 0xc3, 0xb2, 0xa1};
   ASSERT_GE(b.size(), prefix.size());
   EXPECT_EQ(Bytes(b.begin(), b.begin() + 13), prefix);
-  EXPECT_EQ(b[13], 0x20);  // epoch only
+  EXPECT_EQ(b[13], 0x01);  // tag only
 }
 
 TEST(MessagesTest, EncodedSizesArePinned) {
-  // The quorumbench traffic: epoch 0, small tag numbers, writer index <= 2,
+  // The quorumbench traffic: small tag numbers, writer index <= 2,
   // 128 B values on BSR.
   RegisterMessage query;
   query.op_id = 0xfedcba9876543210ULL;
@@ -179,6 +179,10 @@ TEST(MessagesTest, RejectsTrailingGarbage) {
 
 TEST(MessagesTest, RejectsReservedPresenceBits) {
   EXPECT_TRUE(accepted(header(MsgType::kQueryData, 0x00)));
+  // Bit 5 once carried a membership epoch; it is reserved now, with or
+  // without the varint it used to announce.
+  EXPECT_FALSE(accepted(header(MsgType::kQueryData, 0x20)));
+  EXPECT_FALSE(accepted(cat(header(MsgType::kDataResp, 0x20), {{0x01}})));
   EXPECT_FALSE(accepted(header(MsgType::kQueryData, 0x40)));
   EXPECT_FALSE(accepted(header(MsgType::kQueryData, 0x80)));
   Bytes b = sample_message(MsgType::kDataResp, 0x03).encode();
@@ -194,21 +198,22 @@ TEST(MessagesTest, RejectsPresentFieldHoldingItsDefault) {
   EXPECT_FALSE(accepted(cat(header(MsgType::kHistoryResp, 0x04), {{0x00}})));
   EXPECT_FALSE(accepted(cat(header(MsgType::kTagHistoryResp, 0x08), {{0x00}})));
   EXPECT_FALSE(accepted(cat(header(MsgType::kObjectsResp, 0x10), {{0x00}})));
-  EXPECT_FALSE(accepted(cat(header(MsgType::kDataResp, 0x20), {{0x00}})));
-  EXPECT_TRUE(accepted(cat(header(MsgType::kDataResp, 0x20), {{0x01}})));
 }
 
 TEST(MessagesTest, RejectsOverlongAndOverWideVarints) {
-  const Bytes epoch = header(MsgType::kDataResp, 0x20);
-  EXPECT_FALSE(accepted(cat(epoch, {{0x81, 0x00}})));  // 1, overlong
+  // A tag's num is the wire's u64 varint; each case is followed by the
+  // writer byte 0x01 (writer 0).
+  const Bytes tag = header(MsgType::kAck, 0x01);
+  const Bytes writer{0x01};
+  EXPECT_FALSE(accepted(cat(tag, {{0x81, 0x00}, writer})));  // 1, overlong
   EXPECT_FALSE(accepted(cat(header(MsgType::kPutData, 0x02), {{0x81, 0x00, 0x07}})));
   const Bytes max64{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
-  EXPECT_TRUE(accepted(cat(epoch, {max64})));
+  EXPECT_TRUE(accepted(cat(tag, {max64, writer})));
   Bytes wider = max64;
   wider.back() = 0x02;  // bit 64
-  EXPECT_FALSE(accepted(cat(epoch, {wider})));
+  EXPECT_FALSE(accepted(cat(tag, {wider, writer})));
   wider.back() = 0x81;  // an eleventh byte
-  EXPECT_FALSE(accepted(cat(epoch, {wider, {0x01}})));
+  EXPECT_FALSE(accepted(cat(tag, {wider, {0x01}, writer})));
 }
 
 TEST(MessagesTest, RejectsU32FieldsAboveRange) {

@@ -444,8 +444,8 @@ TEST(PersistentServerTest, CatchUpWithNoPeersFinishesImmediately) {
 }
 
 TEST(PersistentServerTest, ServeImmediatelyPolicyIsUnchanged) {
-  // The default policy must behave exactly as before the membership layer:
-  // up and answering from construction.
+  // The default policy must behave exactly as before quorum catch-up
+  // existed: up and answering from construction.
   TempFile tmp("immediate");
   sim::Simulator sim(sim::SimConfig::with_fixed_delay(1, 10));
   PersistentRegisterServer server(ProcessId::server(0), small_config(), &sim,

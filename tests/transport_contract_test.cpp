@@ -7,7 +7,8 @@
 //   * timers pending at stop() are dropped and do not delay it;
 //   * a crashed process receives nothing and its timers do not fire, and
 //     after quiesce none of its handlers is running;
-//   * replace_process + revive delivers to the new object.
+//   * replace_process + revive delivers to the new object, and no task or
+//     timer of the old object runs after it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,6 +248,23 @@ TYPED_TEST(TransportContractTest, ReplacedProcessReceivesAfterRevive) {
   this->net_->send(this->kTarget, this->kSender, Bytes{3});
   ASSERT_TRUE(wait_for([&] { return this->sender_.delivered() == 1; }));
   EXPECT_EQ(this->target_.delivered(), 0);
+}
+
+TYPED_TEST(TransportContractTest, RestartRetiresTimersArmedBeforeIt) {
+  // A 50 ms timer armed before a sub-millisecond restart belongs to the old
+  // object: it must not run in the new one. A timer armed after the
+  // restart, due later than the old one, runs.
+  std::atomic<bool> old_timer{false};
+  std::atomic<bool> new_timer{false};
+  this->net_->post_after(this->kTarget, 50'000'000, [&] { old_timer.store(true); });
+  Probe fresh;
+  this->net_->mark_crashed(this->kTarget);
+  this->net_->quiesce(this->kTarget);
+  this->net_->replace_process(this->kTarget, &fresh);
+  this->net_->revive(this->kTarget);
+  this->net_->post_after(this->kTarget, 80'000'000, [&] { new_timer.store(true); });
+  ASSERT_TRUE(wait_for([&] { return new_timer.load(); }));
+  EXPECT_FALSE(old_timer.load());
 }
 
 /// Stamps the arrival time of every delivery.
